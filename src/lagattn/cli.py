@@ -9,14 +9,13 @@ directory.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,98 +23,68 @@ from . import model as M
 from . import synthdata as S
 from . import xcorr
 from .attention import CabParams, correlated_attention
+from .model import RunConfig
 
 EXIT_USAGE = 2
 EXIT_FILE = 3
 EXIT_NUMERICAL = 4
 
-ABLATION_PRESETS = ("baseline", "pure", "static", "lambda", "beta")
+# preset -> config overrides, applied after the --config file and the flags
+ABLATION_PRESETS = {
+    "baseline": {},
+    # all-correlated heads, no lag filtering, beta pinned to 0
+    "pure": dict(m=0, filtering_enabled=False, beta_learnable=False, beta_init=0.0,
+                 lambda_mode="fixed"),
+    "static": dict(lambda_mode="fixed", beta_learnable=False, lambda_init=0.5,
+                   beta_init=0.5),
+    "lambda": dict(lambda_mode="learnable", beta_learnable=False, beta_init=0.5),
+    "beta": dict(lambda_mode="fixed", beta_learnable=True, lambda_init=0.5),
+}
+
+# allowed values of the string config keys, whether set by flag or by file
+CHOICES = {
+    "task": ("imputation", "anomaly", "classification"),
+    "temporal": ("self", "destat"),
+    "positional": ("none", "sin"),
+    "lag_path": ("fft", "naive"),
+    "lambda_mode": ("fixed", "learnable"),
+}
 
 
 class UsageError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Every knob of a training run; defaults follow the reference regime
-    (tau = 1, lambda = beta = 1/2, h = 16, m = 8, 30 epochs, patience 10,
-    batch 16, or 128 for anomaly detection)."""
-
-    task: str = "imputation"
-    d_in: int = 8
-    d_model: int = 16
-    d_k: int = 8
-    h: int = 16
-    m: int = 8
-    n_blocks: int = 1
-    n_classes: int = 2
-    c: int = 1
-    temporal: str = "self"
-    positional: str = "none"
-    lag_path: str = "fft"
-    ablation: str = "baseline"
-    cab: bool = True
-    lr: float = 1e-3
-    batch_size: int = 16
-    epochs: int = 30
-    patience: int = 10
-    seed: int = 0
-    lambda_mode: str = "fixed"
-    beta_learnable: bool = True
-    tau_learnable: bool = True
-    lambda_init: float = 0.5
-    beta_init: float = 0.5
-    tau_init: float = 1.0
-    filtering_enabled: bool = True
-
-    def config_hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
 def apply_ablation(cfg: RunConfig) -> RunConfig:
-    """Realize the ablation presets on top of a run config."""
-    preset = cfg.ablation
-    if preset not in ABLATION_PRESETS:
-        raise UsageError(f"unknown ablation preset {preset!r}; "
-                         f"choose from {ABLATION_PRESETS}")
-    if preset == "pure":
-        # all-correlated heads, no lag filtering, beta pinned to 0
-        cfg.m = 0
-        cfg.filtering_enabled = False
-        cfg.beta_learnable = False
-        cfg.beta_init = 0.0
-        cfg.lambda_mode = "fixed"
-    elif preset == "static":
-        cfg.lambda_mode = "fixed"
-        cfg.beta_learnable = False
-        cfg.lambda_init = 0.5
-        cfg.beta_init = 0.5
-    elif preset == "lambda":
-        cfg.lambda_mode = "learnable"
-        cfg.beta_learnable = False
-        cfg.beta_init = 0.5
-    elif preset == "beta":
-        cfg.lambda_mode = "fixed"
-        cfg.beta_learnable = True
-        cfg.lambda_init = 0.5
+    """Realize the ablation preset named by the config on top of it."""
+    if cfg.ablation not in ABLATION_PRESETS:
+        raise UsageError(f"unknown ablation preset {cfg.ablation!r}; "
+                         f"choose from {tuple(ABLATION_PRESETS)}")
+    for key, val in ABLATION_PRESETS[cfg.ablation].items():
+        setattr(cfg, key, val)
     return cfg
 
 
-def model_config(cfg: RunConfig) -> M.ModelConfig:
-    m = cfg.m if cfg.cab else cfg.h
-    return M.ModelConfig(
-        task=cfg.task, d_in=cfg.d_in, d_model=cfg.d_model, d_k=cfg.d_k,
-        h=cfg.h, m=m, n_blocks=cfg.n_blocks, n_classes=cfg.n_classes, c=cfg.c,
-        temporal=cfg.temporal, positional=cfg.positional,
-        lambda_mode=cfg.lambda_mode, beta_learnable=cfg.beta_learnable,
-        tau_learnable=cfg.tau_learnable, lambda_init=cfg.lambda_init,
-        beta_init=cfg.beta_init if 0.0 < cfg.beta_init < 1.0 else 0.5,
-        tau_init=cfg.tau_init,
-        filtering_enabled=cfg.filtering_enabled,
-        use_fft=(cfg.lag_path == "fft"),
-    )
+def validate(cfg: RunConfig) -> RunConfig:
+    """Reject a config the model cannot be built from."""
+    for key, allowed in CHOICES.items():
+        if getattr(cfg, key) not in allowed:
+            raise UsageError(f"{key} = {getattr(cfg, key)!r}; choose from {allowed}")
+    for key in ("d_model", "d_k", "h", "c", "batch_size", "epochs"):
+        if getattr(cfg, key) < 1:
+            raise UsageError(f"{key}={getattr(cfg, key)} must be at least 1")
+    if cfg.lr < 0:
+        raise UsageError(f"lr={cfg.lr} must not be negative")
+    if cfg.cab and not 0 <= cfg.m <= cfg.h:
+        raise UsageError(f"m={cfg.m} must lie in [0, h={cfg.h}]")
+    if cfg.filtering_enabled and not 0.0 < cfg.beta_init < 1.0:
+        raise UsageError(f"beta_init={cfg.beta_init} must lie in (0, 1) "
+                         "while filtering is enabled")
+    if not 0.0 < cfg.lambda_init < 1.0:
+        raise UsageError(f"lambda_init={cfg.lambda_init} must lie in (0, 1)")
+    if not cfg.tau_init > 0.0:
+        raise UsageError(f"tau_init={cfg.tau_init} must be positive")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -148,18 +117,20 @@ def read_config(path) -> dict:
 
 def config_from_dict(values: dict) -> RunConfig:
     cfg = RunConfig()
+    defaults = asdict(cfg)
     for key, raw in values.items():
-        if not hasattr(cfg, key):
+        if key not in defaults:
             raise UsageError(f"unknown config key {key!r}")
-        cur = getattr(cfg, key)
-        if isinstance(cur, bool):
-            setattr(cfg, key, raw in ("True", "true", "1", "on"))
-        elif isinstance(cur, int):
-            setattr(cfg, key, int(raw))
-        elif isinstance(cur, float):
-            setattr(cfg, key, float(raw))
-        else:
-            setattr(cfg, key, raw)
+        cur = defaults[key]
+        try:
+            if isinstance(cur, bool):
+                setattr(cfg, key, raw in ("True", "true", "1", "on"))
+            elif isinstance(cur, (int, float)):
+                setattr(cfg, key, type(cur)(raw))
+            else:
+                setattr(cfg, key, raw)
+        except ValueError:
+            raise UsageError(f"config key {key!r}: bad value {raw!r}") from None
     return cfg
 
 
@@ -179,14 +150,27 @@ def parse_lag_spec(text: str) -> list:
     return lags
 
 
-def load_split_files(prefix: str):
-    paths = [f"{prefix}.train", f"{prefix}.val", f"{prefix}.test"]
-    out = []
-    task = None
-    for p in paths:
-        samples, task = S.read_dataset(p)
-        out.append(samples)
-    return out[0], out[1], out[2], task
+@dataclass
+class Data:
+    """A dataset's three splits as model samples (see S.to_training_sample)."""
+
+    task: str
+    d_in: int
+    n_classes: int      # 1 + the largest label in any split (classification)
+    train: list
+    val: list
+    test: list
+
+
+def load_data(prefix: str) -> Data:
+    splits = [S.read_dataset(f"{prefix}.{name}") for name in ("train", "val", "test")]
+    task = splits[-1][1]
+    train, val, test = ([S.to_training_sample(s, task) for s in samples]
+                        for samples, _ in splits)
+    everything = train + val + test
+    n_classes = (1 + max(int(s[3]) for s in everything)
+                 if task == "classification" else 0)
+    return Data(task, everything[0][0].shape[1], n_classes, train, val, test)
 
 
 def emit(record: dict, fh=None) -> None:
@@ -223,55 +207,61 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def build_run_config(args) -> RunConfig:
-    cfg = config_from_dict(read_config(args.config)) if args.config else RunConfig()
-    for key in ("task", "d_model", "d_k", "h", "m", "n_blocks", "c", "temporal",
+def build_run_config(args, data: Data) -> RunConfig:
+    """Defaults, then the --config file, then the flags, then the ablation
+    preset; the number of classes comes from the training data."""
+    values = read_config(args.config) if args.config else {}
+    cfg = config_from_dict(values)
+    for key in ("d_model", "d_k", "h", "m", "n_blocks", "c", "temporal",
                 "positional", "lag_path", "ablation", "lr", "batch_size",
                 "epochs", "patience", "seed"):
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             setattr(cfg, key, val)
-    if getattr(args, "cab", None) is not None:
+    if args.cab is not None:
         cfg.cab = args.cab == "on"
+    if data.task == "anomaly" and args.batch_size is None and "batch_size" not in values:
+        cfg.batch_size = 128
+    if data.task == "classification":
+        cfg.n_classes = data.n_classes
     return apply_ablation(cfg)
 
 
+def setup(cfg: RunConfig, data: Data) -> dict:
+    """Fit the config to the data's task and width, validate it, and return
+    freshly initialized params."""
+    cfg.task, cfg.d_in = data.task, data.d_in
+    return M.init_params(validate(cfg), seed=cfg.seed)
+
+
+def score_test_split(cfg: RunConfig, params: dict, data: Data) -> dict:
+    """Reported test metrics; anomaly thresholds come from the val split."""
+    metrics = M.evaluate_metrics(data.test, params, cfg, val_samples=(
+        data.val if data.task == "anomaly" else None))
+    metrics.pop("degenerate", None)
+    metrics.pop("threshold", None)
+    return metrics
+
+
 def cmd_train(args) -> int:
-    train, val, test, task = load_split_files(args.data)
-    cfg = build_run_config(args)
-    cfg.task = task
-    cfg.d_in = train[0].values.shape[1]
-    if task == "anomaly" and args.batch_size is None:
-        cfg.batch_size = 128
-    mcfg = model_config(cfg)
-    params = M.init_params(mcfg, seed=cfg.seed)
-
-    train_s = [S.to_training_sample(s, task) for s in train]
-    val_s = [S.to_training_sample(s, task) for s in val]
-    test_s = [S.to_training_sample(s, task) for s in test]
-
+    data = load_data(args.data)
+    cfg = build_run_config(args, data)
+    params = setup(cfg, data)
     run_id = cfg.config_hash()
     metrics_fh = open(args.metrics, "w") if args.metrics else None
     try:
         t0 = time.perf_counter()
-        records = M.train_model(train_s, val_s, params, mcfg, lr=cfg.lr,
-                                batch_size=cfg.batch_size, epochs=cfg.epochs,
-                                patience=cfg.patience, seed=cfg.seed)
+        records = M.train_model(data.train, data.val, params, cfg)
         elapsed = time.perf_counter() - t0
-        n_iters = sum(math.ceil(len(train_s) / cfg.batch_size)
-                      for _ in records) or 1
+        n_iters = len(records) * math.ceil(len(data.train) / cfg.batch_size) or 1
         for rec in records:
             emit({"run_id": run_id, **rec}, metrics_fh)
         summary = {"run_id": run_id, "event": "summary",
                    "config_hash": run_id, "epochs_run": len(records),
                    "final_train_loss": records[-1]["train_loss"],
                    "final_val_loss": records[-1]["val_loss"],
-                   "s_per_iter": elapsed / n_iters}
-        summary.update(M.evaluate_metrics(
-            test_s, params, mcfg,
-            val_samples=val_s if task == "anomaly" else None))
-        summary.pop("degenerate", None)
-        summary.pop("threshold", None)
+                   "s_per_iter": elapsed / n_iters,
+                   **score_test_split(cfg, params, data)}
         emit(summary, metrics_fh)
     finally:
         if metrics_fh:
@@ -283,21 +273,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    train, val, test, task = load_split_files(args.data)
+    data = load_data(args.data)
     cfg = config_from_dict(read_config(args.checkpoint + ".config"))
-    cfg.task = task
-    cfg.d_in = test[0].values.shape[1]
-    mcfg = model_config(cfg)
-    params = M.init_params(mcfg, seed=cfg.seed)
+    params = setup(cfg, data)
     M.load_into(params, args.checkpoint)
-    val_s = [S.to_training_sample(s, task) for s in val]
-    test_s = [S.to_training_sample(s, task) for s in test]
-    summary = {"event": "eval", "config_hash": cfg.config_hash()}
-    summary.update(M.evaluate_metrics(
-        test_s, params, mcfg, val_samples=val_s if task == "anomaly" else None))
-    summary.pop("degenerate", None)
-    summary.pop("threshold", None)
-    emit(summary)
+    emit({"event": "eval", "config_hash": cfg.config_hash(),
+          **score_test_split(cfg, params, data)})
     return 0
 
 
@@ -336,36 +317,21 @@ def cmd_bench(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    data = load_data(args.data)
     results = []
     for preset in ABLATION_PRESETS:
-        ns = argparse.Namespace(**vars(args))
-        ns.ablation = preset
-        cfg = build_run_config(ns)
-        train, val, test, task = load_split_files(args.data)
-        cfg.task = task
-        cfg.d_in = train[0].values.shape[1]
-        mcfg = model_config(cfg)
-        params = M.init_params(mcfg, seed=cfg.seed)
-        train_s = [S.to_training_sample(s, task) for s in train]
-        val_s = [S.to_training_sample(s, task) for s in val]
-        test_s = [S.to_training_sample(s, task) for s in test]
-        M.train_model(train_s, val_s, params, mcfg, lr=cfg.lr,
-                      batch_size=cfg.batch_size, epochs=cfg.epochs,
-                      patience=cfg.patience, seed=cfg.seed)
-        metrics = M.evaluate_metrics(
-            test_s, params, mcfg,
-            val_samples=val_s if task == "anomaly" else None)
-        metrics.pop("degenerate", None)
-        metrics.pop("threshold", None)
+        args.ablation = preset
+        cfg = build_run_config(args, data)
+        params = setup(cfg, data)
+        M.train_model(data.train, data.val, params, cfg)
         rec = {"event": "ablate", "preset": preset,
-               "config_hash": cfg.config_hash(), **metrics}
+               "config_hash": cfg.config_hash(), **score_test_split(cfg, params, data)}
         emit(rec)
         results.append(rec)
-    keys = [k for k in results[0] if k not in ("event",)]
-    print("preset," + ",".join(k for k in keys if k != "preset"))
+    keys = [k for k in results[0] if k not in ("event", "preset")]
+    print("preset," + ",".join(keys))
     for rec in results:
-        print(rec["preset"] + "," + ",".join(
-            str(rec[k]) for k in keys if k != "preset"))
+        print(rec["preset"] + "," + ",".join(str(rec[k]) for k in keys))
     return 0
 
 
@@ -378,8 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    g.add_argument("--task", required=True,
-                   choices=("imputation", "anomaly", "classification"))
+    g.add_argument("--task", required=True, choices=CHOICES["task"])
     g.add_argument("--t", type=int, required=True)
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--samples", type=int, default=32)
@@ -406,9 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, default=None)
         p.add_argument("--blocks", dest="n_blocks", type=int, default=None)
         p.add_argument("--c", type=int, default=None)
-        p.add_argument("--temporal", choices=("self", "destat"), default=None)
-        p.add_argument("--positional", choices=("none", "sin"), default=None)
-        p.add_argument("--lag-path", dest="lag_path", choices=("fft", "naive"),
+        p.add_argument("--temporal", choices=CHOICES["temporal"], default=None)
+        p.add_argument("--positional", choices=CHOICES["positional"], default=None)
+        p.add_argument("--lag-path", dest="lag_path", choices=CHOICES["lag_path"],
                        default=None)
         p.add_argument("--lr", type=float, default=None)
         p.add_argument("--batch", dest="batch_size", type=int, default=None)

@@ -8,8 +8,10 @@ optimizers can treat the whole model uniformly.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -80,50 +82,72 @@ def destationarize(xp, stats: StationaryStats):
 
 
 @dataclass
-class ModelConfig:
+class RunConfig:
+    """Every knob of a run, model and training alike; defaults follow the
+    reference regime (tau = 1, lambda = beta = 1/2, h = 16, m = 8, 30 epochs,
+    patience 10, batch 16, or 128 for anomaly detection)."""
+
     task: str = "imputation"            # imputation | anomaly | classification
     d_in: int = 8
     d_model: int = 16
     d_k: int = 8
-    h: int = 4
-    m: int = 2                          # heads 1..m temporal, rest correlated
+    h: int = 16
+    m: int = 8                          # heads 1..m temporal, rest correlated
     n_blocks: int = 1
     n_classes: int = 2
     c: int = 1
     temporal: str = "self"              # self | destat
     positional: str = "none"            # none | sin
+    lag_path: str = "fft"               # fft | naive
+    ablation: str = "baseline"
+    cab: bool = True                    # off => every head temporal
+    lr: float = 1e-3
+    batch_size: int = 16
+    epochs: int = 30
+    patience: int = 10
+    seed: int = 0
     lambda_mode: str = "fixed"          # fixed | learnable (soft-score extension)
     beta_learnable: bool = True
     tau_learnable: bool = True
     lambda_init: float = 0.5
-    beta_init: float = 0.5
+    beta_init: float = 0.5              # decoded only when filtering is on
     tau_init: float = 1.0
-    filtering_enabled: bool = True
-    use_fft: bool = True
-    d_ff: int = 0                       # 0 => 4 * d_model
+    filtering_enabled: bool = True      # off => instantaneous-only, beta = 0
 
-    def __post_init__(self):
-        if self.d_ff == 0:
-            self.d_ff = 4 * self.d_model
-        if not 0 <= self.m <= self.h:
-            raise ParameterError(f"m={self.m} must lie in [0, h={self.h}]")
-        if self.task not in ("imputation", "anomaly", "classification"):
-            raise ParameterError(f"unknown task {self.task!r}")
+    def config_hash(self) -> str:
+        blob = json.dumps(asdict(self), sort_keys=True)
+        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+    @property
+    def n_temporal(self) -> int:
+        """Heads 0..n_temporal-1 are temporal, the rest correlated."""
+        return self.m if self.cab else self.h
+
+    @property
+    def d_ff(self) -> int:
+        return 4 * self.d_model
 
     @property
     def d_out(self) -> int:
         return self.n_classes if self.task == "classification" else self.d_in
 
     def head_kind(self, i: int) -> str:
-        if i < self.m:
-            return self.temporal
-        return "correlated"
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        return self.temporal if i < self.n_temporal else "correlated"
 
 
-def count_params(cfg: ModelConfig) -> int:
+def _cab_scalars(cfg: RunConfig) -> dict:
+    """Raw scalar name -> (value decoded from its init, learnable?) for every
+    correlated head. Learnable scalars get a registry entry per head; the rest
+    stay at the decoded value."""
+    return {
+        "beta_raw": (sigmoid_inv(cfg.beta_init) if cfg.filtering_enabled else 0.0,
+                     cfg.filtering_enabled and cfg.beta_learnable),
+        "tau_raw": (softplus_inv(cfg.tau_init), cfg.tau_learnable),
+        "lambda_raw": (sigmoid_inv(cfg.lambda_init), cfg.lambda_mode == "learnable"),
+    }
+
+
+def count_params(cfg: RunConfig) -> int:
     """Closed-form size of the registry built by init_params."""
     n = cfg.d_in * cfg.d_model                                   # embedding
     per_block = 3 * cfg.h * cfg.d_model * cfg.d_k                # projections
@@ -131,17 +155,10 @@ def count_params(cfg: ModelConfig) -> int:
     per_block += 2 * 2 * cfg.d_model                             # two layernorms
     per_block += cfg.d_model * cfg.d_ff + cfg.d_ff               # ff in
     per_block += cfg.d_ff * cfg.d_model + cfg.d_model            # ff out
-    n_corr = cfg.h - cfg.m
-    scalars = 0
-    if cfg.filtering_enabled and cfg.beta_learnable:
-        scalars += 1
-    if cfg.tau_learnable:
-        scalars += 1
-    if cfg.lambda_mode == "learnable":
-        scalars += 1
-    per_block += n_corr * scalars
+    n_corr = cfg.h - cfg.n_temporal
+    per_block += n_corr * sum(on for _, on in _cab_scalars(cfg).values())
     n += cfg.n_blocks * per_block
-    if cfg.temporal == "destat" and cfg.m > 0:
+    if cfg.temporal == "destat" and cfg.n_temporal > 0:
         hidden = 2 * cfg.d_model
         n += 2 * cfg.d_in * hidden + hidden + hidden * 1 + 1     # xi projector
         n += cfg.d_in * hidden + hidden + hidden * 1 + 1         # delta projector
@@ -149,7 +166,7 @@ def count_params(cfg: ModelConfig) -> int:
     return n
 
 
-def init_params(cfg: ModelConfig, seed: int = 0) -> dict:
+def init_params(cfg: RunConfig, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
 
     def mat(name, rows, cols, scale=None):
@@ -157,6 +174,7 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict:
         params[name] = Param(name, rng.normal(0.0, scale, size=(rows, cols)))
 
     params: dict = {}
+    scalars = _cab_scalars(cfg)
     mat("embed.w", cfg.d_in, cfg.d_model)
     for b in range(cfg.n_blocks):
         for i in range(cfg.h):
@@ -164,15 +182,10 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict:
             mat(f"block{b}.head{i}.w_k", cfg.d_model, cfg.d_k)
             mat(f"block{b}.head{i}.w_v", cfg.d_model, cfg.d_k)
             if cfg.head_kind(i) == "correlated":
-                if cfg.filtering_enabled and cfg.beta_learnable:
-                    params[f"block{b}.head{i}.beta_raw"] = Param(
-                        f"block{b}.head{i}.beta_raw", sigmoid_inv(cfg.beta_init))
-                if cfg.tau_learnable:
-                    params[f"block{b}.head{i}.tau_raw"] = Param(
-                        f"block{b}.head{i}.tau_raw", softplus_inv(cfg.tau_init))
-                if cfg.lambda_mode == "learnable":
-                    params[f"block{b}.head{i}.lambda_raw"] = Param(
-                        f"block{b}.head{i}.lambda_raw", sigmoid_inv(cfg.lambda_init))
+                for suffix, (raw, learnable) in scalars.items():
+                    if learnable:
+                        name = f"block{b}.head{i}.{suffix}"
+                        params[name] = Param(name, raw)
         mat(f"block{b}.w_o", cfg.h * cfg.d_k, cfg.d_model)
         for ln in ("ln1", "ln2"):
             params[f"block{b}.{ln}.gain"] = Param(f"block{b}.{ln}.gain", np.ones(cfg.d_model))
@@ -181,7 +194,7 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict:
         params[f"block{b}.ff.b1"] = Param(f"block{b}.ff.b1", np.zeros(cfg.d_ff))
         mat(f"block{b}.ff.w2", cfg.d_ff, cfg.d_model)
         params[f"block{b}.ff.b2"] = Param(f"block{b}.ff.b2", np.zeros(cfg.d_model))
-    if cfg.temporal == "destat" and cfg.m > 0:
+    if cfg.temporal == "destat" and cfg.n_temporal > 0:
         hidden = 2 * cfg.d_model
         mat("destat.xi.w1", 2 * cfg.d_in, hidden)
         params["destat.xi.b1"] = Param("destat.xi.b1", np.zeros(hidden))
@@ -194,23 +207,6 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict:
     mat("head.w", cfg.d_model, cfg.d_out)
     params["head.b"] = Param("head.b", np.zeros(cfg.d_out))
     return params
-
-
-def _cab_for_head(cfg: ModelConfig, params: dict, b: int, i: int) -> CabParams:
-    def raw(suffix, default):
-        p = params.get(f"block{b}.head{i}.{suffix}")
-        return float(p.value) if p is not None else default
-
-    return CabParams(
-        lambda_raw=raw("lambda_raw", sigmoid_inv(cfg.lambda_init)),
-        beta_raw=raw("beta_raw", sigmoid_inv(cfg.beta_init) if 0 < cfg.beta_init < 1
-                     else 0.0),
-        tau_raw=raw("tau_raw", softplus_inv(cfg.tau_init)),
-        c=cfg.c,
-        lambda_mode=cfg.lambda_mode,
-        use_fft=cfg.use_fft,
-        filtering_enabled=cfg.filtering_enabled,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +263,7 @@ def _positional_encoding(t: int, d: int) -> np.ndarray:
 # forward / backward
 
 
-def model_forward(x, params: dict, cfg: ModelConfig):
+def model_forward(x, params: dict, cfg: RunConfig):
     """Full forward pass: stationarize, embed, encoder blocks, task head.
 
     Returns (prediction, cache). For reconstruction tasks the prediction is
@@ -282,7 +278,7 @@ def model_forward(x, params: dict, cfg: ModelConfig):
 
     xi, delta = 1.0, np.zeros(t)
     destat_caches = None
-    if cfg.temporal == "destat" and cfg.m > 0:
+    if cfg.temporal == "destat" and cfg.n_temporal > 0:
         stats_vec = np.concatenate([stats.mu, stats.sigma])[None, :]
         xi_pre, xi_cache = _mlp2_fwd(stats_vec, params["destat.xi.w1"].value,
                                      params["destat.xi.b1"].value,
@@ -300,17 +296,26 @@ def model_forward(x, params: dict, cfg: ModelConfig):
     if cfg.positional == "sin":
         hrep = hrep + _positional_encoding(t, cfg.d_model)
 
+    scalars = _cab_scalars(cfg)
+    fixed = CabParams(c=cfg.c, lambda_mode=cfg.lambda_mode, use_fft=cfg.lag_path == "fft",
+                      filtering_enabled=cfg.filtering_enabled,
+                      **{name: raw for name, (raw, _) in scalars.items()})
+    learned = [name for name, (_, on) in scalars.items() if on]
+
     block_caches = []
     for b in range(cfg.n_blocks):
         heads = []
         for i in range(cfg.h):
             kind = cfg.head_kind(i)
+            prefix = f"block{b}.head{i}"
             heads.append(HeadSpec(
                 kind=kind,
-                w_q=params[f"block{b}.head{i}.w_q"].value,
-                w_k=params[f"block{b}.head{i}.w_k"].value,
-                w_v=params[f"block{b}.head{i}.w_v"].value,
-                cab=_cab_for_head(cfg, params, b, i) if kind == "correlated" else None,
+                w_q=params[f"{prefix}.w_q"].value,
+                w_k=params[f"{prefix}.w_k"].value,
+                w_v=params[f"{prefix}.w_v"].value,
+                cab=replace(fixed, **{name: float(params[f"{prefix}.{name}"].value)
+                                      for name in learned})
+                if kind == "correlated" else None,
             ))
         mix = MixtureWeights(heads=heads, w_o=params[f"block{b}.w_o"].value,
                              xi=xi, delta=delta)
@@ -337,7 +342,7 @@ def model_forward(x, params: dict, cfg: ModelConfig):
     return pred, cache
 
 
-def model_backward(dpred, cache, params: dict, cfg: ModelConfig):
+def model_backward(dpred, cache, params: dict, cfg: RunConfig):
     """Accumulate d(loss)/d(param) into Param.grad for every registry entry."""
     x, xp, stats, hrep, block_caches, destat_caches, t = cache
 
@@ -404,7 +409,7 @@ def model_backward(dpred, cache, params: dict, cfg: ModelConfig):
         params["destat.delta.b2"].grad += db2
 
 
-def encoder_forward(x, params: dict, cfg: ModelConfig):
+def encoder_forward(x, params: dict, cfg: RunConfig):
     """Representation only (no task head, no destationarization)."""
     pred, cache = model_forward(x, params, cfg)
     return cache[3]
@@ -447,7 +452,7 @@ def task_loss(pred, target, task: str, mask=None):
     return loss, 2.0 * diff / n
 
 
-def sample_loss_and_grad(sample, params: dict, cfg: ModelConfig) -> float:
+def sample_loss_and_grad(sample, params: dict, cfg: RunConfig) -> float:
     """Forward + loss + backward for one sample; accumulates into grads."""
     x_in, target, mask, label = sample
     pred, cache = model_forward(x_in, params, cfg)
@@ -459,7 +464,7 @@ def sample_loss_and_grad(sample, params: dict, cfg: ModelConfig) -> float:
     return loss
 
 
-def batch_loss_and_grad(batch, params: dict, cfg: ModelConfig) -> float:
+def batch_loss_and_grad(batch, params: dict, cfg: RunConfig) -> float:
     """Zeroes grads, averages loss and gradient over the batch."""
     zero_grads(params)
     total = 0.0
@@ -506,7 +511,7 @@ class Adam:
             p.value -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def train_step(batch, params: dict, cfg: ModelConfig, optimizer) -> float:
+def train_step(batch, params: dict, cfg: RunConfig, optimizer) -> float:
     """One optimization step; returns the pre-update loss."""
     loss = batch_loss_and_grad(batch, params, cfg)
     if not np.isfinite(loss):
@@ -515,21 +520,22 @@ def train_step(batch, params: dict, cfg: ModelConfig, optimizer) -> float:
     return loss
 
 
-def train_model(train_samples, val_samples, params: dict, cfg: ModelConfig,
-                lr: float = 1e-3, batch_size: int = 16, epochs: int = 30,
-                patience: int = 10, optimizer: str = "adam", seed: int = 0):
-    """Plain training loop with the fixed-patience early-stopping rule.
+def train_model(train_samples, val_samples, params: dict, cfg: RunConfig,
+                optimizer: str = "adam"):
+    """Plain training loop with the fixed-patience early-stopping rule; lr,
+    batch size, epochs, patience and shuffling seed come from ``cfg``.
 
     Returns a list of per-epoch records (dicts with train/val loss).
     """
-    if lr < 0:
+    if cfg.lr < 0:
         raise ParameterError("learning rate must be non-negative")
-    opt = Adam(lr) if optimizer == "adam" else SGD(lr)
-    rng = np.random.default_rng(seed)
+    opt = Adam(cfg.lr) if optimizer == "adam" else SGD(cfg.lr)
+    rng = np.random.default_rng(cfg.seed)
+    batch_size = cfg.batch_size
     records = []
     best_val = math.inf
     since_best = 0
-    for epoch in range(epochs):
+    for epoch in range(cfg.epochs):
         order = rng.permutation(len(train_samples))
         train_loss, nb = 0.0, 0
         for start in range(0, len(order), batch_size):
@@ -544,12 +550,12 @@ def train_model(train_samples, val_samples, params: dict, cfg: ModelConfig,
             since_best = 0
         else:
             since_best += 1
-            if since_best >= patience:
+            if since_best >= cfg.patience:
                 break
     return records
 
 
-def evaluate_loss(samples, params: dict, cfg: ModelConfig) -> float:
+def evaluate_loss(samples, params: dict, cfg: RunConfig) -> float:
     total = 0.0
     for x_in, target, mask, label in samples:
         pred, _ = model_forward(x_in, params, cfg)
@@ -591,7 +597,7 @@ def anomaly_decision(scores, truth, threshold_quantile: float, val_scores=None):
             "recall": recall, "f1": f1, "degenerate": degenerate}
 
 
-def evaluate_metrics(samples, params: dict, cfg: ModelConfig,
+def evaluate_metrics(samples, params: dict, cfg: RunConfig,
                      val_samples=None, threshold_quantile: float = 0.99) -> dict:
     """Per-task test metrics: MSE+MAE, P/R/F1, or accuracy."""
     if cfg.task == "classification":

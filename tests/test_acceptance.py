@@ -74,8 +74,8 @@ def test_c1_oracle_equivalence(report):
 def test_c2_gradient_suite(report):
     """Analytic vs central-difference gradients for every learnable
     parameter of a one-block model, 1e-4 relative at step 1e-5."""
-    cfg = M.ModelConfig(task="imputation", d_in=3, d_model=4, d_k=4,
-                        h=2, m=1, n_blocks=1, temporal="destat")
+    cfg = M.RunConfig(task="imputation", d_in=3, d_model=4, d_k=4,
+                      h=2, m=1, n_blocks=1, temporal="destat")
     params = M.init_params(cfg, seed=1)
     rng = np.random.default_rng(2)
     x = rng.normal(size=(8, 3))
@@ -161,15 +161,22 @@ def test_c5_complexity_scaling(report):
     """Naive-path doubling ratio in [3, 6]; FFT ratio strictly smaller;
     FFT strictly faster than naive at T=1536."""
     grid = (384, 768, 1536)
-    naive_t, fft_t = [], []
+    paths = (xcorr_all_lags_naive, xcorr_all_lags_fft)
+    inputs = []
     for t in grid:
         rng = np.random.default_rng(t)
-        q = l2_normalize_cols(rng.normal(size=(t, 8)))
-        k = l2_normalize_cols(rng.normal(size=(t, 8)))
-        naive_t.append(cli._median_time(
-            lambda: xcorr_all_lags_naive(q, k), reps=10, warmup=3))
-        fft_t.append(cli._median_time(
-            lambda: xcorr_all_lags_fft(q, k), reps=10, warmup=3))
+        inputs.append((l2_normalize_cols(rng.normal(size=(t, 8))),
+                       l2_normalize_cols(rng.normal(size=(t, 8)))))
+    # Interleaved rounds, each pair keeping its fastest round: a slow spell
+    # of a shared host then inflates one round of every pair, not one pair.
+    best = {}
+    for _ in range(5):
+        for t, (q, k) in zip(grid, inputs):
+            for path in paths:
+                took = cli._median_time(lambda: path(q, k), reps=5, warmup=1)
+                best[t, path] = min(best.get((t, path), took), took)
+    naive_t = [best[t, xcorr_all_lags_naive] for t in grid]
+    fft_t = [best[t, xcorr_all_lags_fft] for t in grid]
     ok = True
     ratios = []
     for i in range(2):
@@ -192,11 +199,11 @@ def _imputation_run(seed, m):
     train, val, test = (
         [to_training_sample(s, "imputation") for s in part]
         for part in split_dataset(samples))
-    cfg = M.ModelConfig(task="imputation", d_in=8, d_model=16, d_k=8,
-                        h=2, m=m, n_blocks=1)
+    cfg = M.RunConfig(task="imputation", d_in=8, d_model=16, d_k=8,
+                      h=2, m=m, n_blocks=1, lr=5e-3, batch_size=8,
+                      epochs=12, patience=12, seed=seed)
     params = M.init_params(cfg, seed=seed)
-    M.train_model(train, val, params, cfg, lr=5e-3, batch_size=8,
-                  epochs=12, patience=12, seed=seed)
+    M.train_model(train, val, params, cfg)
     return M.evaluate_metrics(test, params, cfg)["mse"], M.count_params(cfg)
 
 
@@ -218,13 +225,20 @@ def test_c6_directional_toy_task(report):
            f"params {n_cab} vs {n_base}")
 
 
+def correlated_heads(cfg):
+    """CabParams of block 0's correlated heads, as model_forward uses them."""
+    params = M.init_params(cfg, seed=0)
+    _, cache = M.model_forward(rand((8, cfg.d_in), 28), params, cfg)
+    attn_cache = cache[4][0][0]
+    return [h.cab for h in attn_cache[1].heads if h.kind == "correlated"]
+
+
 def test_c7_ablation_harness(report, tmp_path, capsys):
     # preset introspection
     ok = True
     detail = []
     pure = cli.apply_ablation(cli.RunConfig(ablation="pure"))
-    mcfg = cli.model_config(pure)
-    cab = M._cab_for_head(mcfg, M.init_params(mcfg, seed=0), 0, 0)
+    cab = correlated_heads(pure)[0]
     if not (pure.m == 0 and cab.beta == 0.0 and not cab.filtering_enabled):
         ok, detail = False, detail + ["pure"]
     static = cli.apply_ablation(cli.RunConfig(ablation="static"))
@@ -289,8 +303,8 @@ def test_c8_determinism_and_roundtrips(report, tmp_path, capsys):
         ok, detail = False, detail + ["dataset roundtrip"]
 
     # checkpoint roundtrip
-    cfg = M.ModelConfig(task="imputation", d_in=3, d_model=4, d_k=4,
-                        h=2, m=1, n_blocks=1, temporal="destat")
+    cfg = M.RunConfig(task="imputation", d_in=3, d_model=4, d_k=4,
+                      h=2, m=1, n_blocks=1, temporal="destat")
     params = M.init_params(cfg, seed=7)
     M.save_checkpoint(tmp_path / "rt.ckpt", params)
     loaded = M.load_checkpoint(tmp_path / "rt.ckpt")

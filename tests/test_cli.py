@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lagattn import cli
+from lagattn import model as M
 from lagattn.synthdata import read_dataset
 
 
@@ -106,6 +107,18 @@ class TestTrainEval:
         assert run_cli(["train", "--data", str(tmp_path / "nope"),
                         *TRAIN_FAST]) == cli.EXIT_FILE
 
+    def test_three_class_train_then_eval(self, tmp_path, capsys):
+        data = tmp_path / "cls"
+        run_cli(gen_args(data, t=24, d=3, samples=12, task="classification",
+                         extra=("--classes", "3")))
+        labels = {s.label for s in read_dataset(f"{data}.train")[0]}
+        assert max(labels) == 2
+        ckpt = tmp_path / "cls.ckpt"
+        assert run_cli(["train", "--data", str(data), *TRAIN_FAST,
+                        "--checkpoint", str(ckpt)]) == 0
+        assert cli.read_config(f"{ckpt}.config")["n_classes"] == "3"
+        assert run_cli(["eval", "--data", str(data), "--checkpoint", str(ckpt)]) == 0
+
     def test_determinism_bitwise(self, toy_dataset, tmp_path, capsys):
         outs = []
         for i in range(2):
@@ -126,43 +139,41 @@ class TestAblationPresets:
         cfg = cli.RunConfig(ablation=preset)
         return cli.apply_ablation(cfg)
 
+    def _correlated_heads(self, cfg):
+        """Params and block 0's CabParams as model_forward uses them."""
+        params = M.init_params(cfg, seed=0)
+        x = np.random.default_rng(0).normal(size=(8, cfg.d_in))
+        attn_cache = M.model_forward(x, params, cfg)[1][4][0][0]
+        return params, [h.cab for h in attn_cache[1].heads if h.kind == "correlated"]
+
     def test_pure_preset(self):
         cfg = self._cfg("pure")
         assert cfg.m == 0
         assert not cfg.filtering_enabled
-        mcfg = cli.model_config(cfg)
-        from lagattn.model import _cab_for_head, init_params
-        params = init_params(mcfg, seed=0)
-        cab = _cab_for_head(mcfg, params, 0, 0)
-        assert cab.beta == 0.0
-        assert not cab.filtering_enabled
+        params, cabs = self._correlated_heads(cfg)
+        assert len(cabs) == cfg.h
+        assert all(cab.beta == 0.0 and not cab.filtering_enabled for cab in cabs)
         assert "block0.head0.beta_raw" not in params
 
     def test_static_preset(self):
         cfg = self._cfg("static")
         assert cfg.lambda_mode == "fixed" and not cfg.beta_learnable
         assert cfg.lambda_init == 0.5 and cfg.beta_init == 0.5
-        mcfg = cli.model_config(cfg)
-        from lagattn.model import _cab_for_head, init_params
-        params = init_params(mcfg, seed=0)
-        cab = _cab_for_head(mcfg, params, 0, cfg.m)
+        _, cabs = self._correlated_heads(cfg)
+        cab = cabs[0]
         assert abs(cab.lam - 0.5) < 1e-15 and abs(cab.beta - 0.5) < 1e-15
 
     def test_lambda_preset(self):
         cfg = self._cfg("lambda")
         assert cfg.lambda_mode == "learnable" and not cfg.beta_learnable
-        mcfg = cli.model_config(cfg)
-        from lagattn.model import init_params
-        params = init_params(mcfg, seed=0)
+        params = M.init_params(cfg, seed=0)
         assert f"block0.head{cfg.m}.lambda_raw" in params
         assert f"block0.head{cfg.m}.beta_raw" not in params
 
     def test_beta_preset(self):
         cfg = self._cfg("beta")
         assert cfg.lambda_mode == "fixed" and cfg.beta_learnable
-        mcfg = cli.model_config(cfg)
-        from lagattn.model import init_params
-        params = init_params(mcfg, seed=0)
+        params = M.init_params(cfg, seed=0)
         assert f"block0.head{cfg.m}.beta_raw" in params
         assert f"block0.head{cfg.m}.lambda_raw" not in params
 
@@ -212,3 +223,105 @@ class TestConfigFile:
             [(0, 1, 7, 0.8), (2, 3, 13, 1.0)]
         with pytest.raises(cli.UsageError):
             cli.parse_lag_spec("junk")
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("flags, file_text, code", [
+        (["--h", "2", "--m", "3"], None, cli.EXIT_USAGE),
+        ([], "h = two\n", cli.EXIT_USAGE),
+        ([], "beta_init = 0.0\n", cli.EXIT_USAGE),
+        (["--ablation", "pure"], "beta_init = 0.0\n", 0),  # beta unused: no filtering
+        ([], "lambda_init = 1.0\n", cli.EXIT_USAGE),
+        ([], "tau_init = 0\n", cli.EXIT_USAGE),
+        ([], "temporal = sideways\n", cli.EXIT_USAGE),
+        (["--epochs", "0"], None, cli.EXIT_USAGE),
+        (["--batch", "0"], None, cli.EXIT_USAGE),
+        (["--d-k", "0"], None, cli.EXIT_USAGE),
+        (["--lr", "-1"], None, cli.EXIT_USAGE),
+        ([], "d_ff = 64\n", cli.EXIT_USAGE),  # derived from d_model, not a key
+    ], ids=["m>h", "non-numeric", "beta_init", "beta_init-pure", "lambda_init",
+            "tau_init", "temporal", "epochs", "batch", "d_k", "lr", "d_ff"])
+    def test_config_errors_exit_usage(self, toy_dataset, tmp_path, capsys,
+                                      flags, file_text, code):
+        config = []
+        if file_text is not None:
+            (tmp_path / "run.cfg").write_text(file_text)
+            config = ["--config", str(tmp_path / "run.cfg")]
+        assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST,
+                        *config, *flags]) == code
+
+    @pytest.mark.parametrize("flags, file_text, batch", [
+        ([], None, 128),
+        ([], "batch_size = 4\n", 4),
+        (["--batch", "8"], "batch_size = 4\n", 8),
+    ], ids=["default", "file", "flag"])
+    def test_anomaly_batch_default(self, tmp_path, capsys, flags, file_text, batch):
+        data = tmp_path / "an"
+        run_cli(gen_args(data, t=24, d=3, samples=10, task="anomaly"))
+        config = []
+        if file_text is not None:
+            (tmp_path / "run.cfg").write_text(file_text)
+            config = ["--config", str(tmp_path / "run.cfg")]
+        ckpt = tmp_path / "an.ckpt"
+        assert run_cli(["train", "--data", str(data), "--d-model", "8", "--d-k", "4",
+                        "--h", "2", "--m", "1", "--epochs", "1", *config, *flags,
+                        "--checkpoint", str(ckpt)]) == 0
+        assert cli.read_config(f"{ckpt}.config")["batch_size"] == str(batch)
+
+
+# a .config file as written before the model and run configs were merged,
+# with the config_hash that train and eval reported for it then
+OLD_BASELINE_CONFIG = """\
+ablation = baseline
+batch_size = 4
+beta_init = 0.5
+beta_learnable = True
+c = 1
+cab = True
+d_in = 3
+d_k = 4
+d_model = 8
+epochs = 2
+filtering_enabled = True
+h = 2
+lag_path = fft
+lambda_init = 0.5
+lambda_mode = fixed
+lr = 0.003
+m = 1
+n_blocks = 1
+n_classes = 2
+patience = 10
+positional = none
+seed = 0
+task = imputation
+tau_init = 1.0
+tau_learnable = True
+temporal = self
+"""
+OLD_PURE_CONFIG = (OLD_BASELINE_CONFIG
+                   .replace("ablation = baseline", "ablation = pure")
+                   .replace("beta_init = 0.5", "beta_init = 0.0")
+                   .replace("beta_learnable = True", "beta_learnable = False")
+                   .replace("filtering_enabled = True", "filtering_enabled = False")
+                   .replace("m = 1", "m = 0"))
+
+
+class TestConfigCompatibility:
+    @pytest.mark.parametrize("preset, text, old_hash", [
+        ("baseline", OLD_BASELINE_CONFIG, "91bcdb1f0dbff104"),
+        ("pure", OLD_PURE_CONFIG, "77f8aa84edc7b5e3"),
+    ], ids=["baseline", "pure"])
+    def test_old_config_evaluates(self, toy_dataset, tmp_path, capsys,
+                                  preset, text, old_hash):
+        ckpt = tmp_path / "model.ckpt"
+        assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST,
+                        "--ablation", preset, "--checkpoint", str(ckpt)]) == 0
+        trained = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert trained["config_hash"] == old_hash
+        (tmp_path / "model.ckpt.config").write_text(text)
+        assert run_cli(["eval", "--data", str(toy_dataset),
+                        "--checkpoint", str(ckpt)]) == 0
+        out = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert out["config_hash"] == old_hash
+        assert out["mse"] == trained["mse"]

@@ -22,7 +22,7 @@ def rand(shape, seed=0):
 def toy_config(**kw):
     base = dict(task="imputation", d_in=3, d_model=4, d_k=4, h=2, m=1, n_blocks=1)
     base.update(kw)
-    return M.ModelConfig(**base)
+    return M.RunConfig(**base)
 
 
 def toy_sample(t=8, d=3, seed=3, mask_p=0.3):
@@ -89,7 +89,8 @@ class TestParamRegistry:
         for kw in (dict(), dict(temporal="destat"), dict(h=4, m=4),
                    dict(h=4, m=0), dict(task="classification", n_classes=3),
                    dict(lambda_mode="learnable"), dict(beta_learnable=False),
-                   dict(filtering_enabled=False, beta_learnable=False)):
+                   dict(filtering_enabled=False, beta_learnable=False),
+                   dict(filtering_enabled=False, beta_init=0.0), dict(cab=False)):
             cfg = toy_config(**kw)
             params = M.init_params(cfg, seed=0)
             assert sum(p.value.size for p in params.values()) == M.count_params(cfg), kw
@@ -178,8 +179,8 @@ class TestTraining:
             assert np.array_equal(p.value, before[n])
 
     def test_loss_decreases_on_planted_lag_toy(self):
-        cfg = M.ModelConfig(task="imputation", d_in=3, d_model=8, d_k=4,
-                            h=2, m=1, n_blocks=1)
+        cfg = M.RunConfig(task="imputation", d_in=3, d_model=8, d_k=4,
+                          h=2, m=1, n_blocks=1)
         params = M.init_params(cfg, seed=4)
         data = self._toy_data(8, seed=1)
         opt = M.Adam(lr=3e-3)
@@ -198,21 +199,19 @@ class TestTraining:
                 M.train_step(self._toy_data(2), params, cfg, M.SGD(lr=0.1))
 
     def test_patience_stops_early(self):
-        cfg = toy_config(d_in=3)
+        cfg = toy_config(d_in=3, lr=0.0, batch_size=4, epochs=30, patience=3, seed=0)
         params = M.init_params(cfg, seed=6)
         data = self._toy_data(6)
-        records = M.train_model(data, data, params, cfg, lr=0.0, batch_size=4,
-                                epochs=30, patience=3, optimizer="sgd", seed=0)
+        records = M.train_model(data, data, params, cfg, optimizer="sgd")
         assert len(records) == 4  # first epoch sets best, then 3 stale epochs
 
     def test_training_deterministic(self):
-        cfg = toy_config(d_in=3)
+        cfg = toy_config(d_in=3, lr=1e-3, batch_size=4, epochs=3, seed=7)
         data = self._toy_data(6)
         recs = []
         for _ in range(2):
             params = M.init_params(cfg, seed=7)
-            recs.append(M.train_model(data, data, params, cfg, lr=1e-3,
-                                      batch_size=4, epochs=3, seed=7))
+            recs.append(M.train_model(data, data, params, cfg))
         assert recs[0] == recs[1]
 
 
