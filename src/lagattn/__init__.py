@@ -7,7 +7,8 @@ lags, and a CLI for training, evaluation and benchmarking.
 """
 
 from .attention import (
-    CabParams,
+    CAB_RAW,
+    CabOptions,
     correlated_attention,
     destationary_attention,
     mixture_of_head,
@@ -24,6 +25,7 @@ from .numerics import (
 from .xcorr import (
     LagScoreVector,
     LagSelection,
+    lag_mass,
     score_lags,
     select_lags,
     topk_lags,
@@ -32,11 +34,11 @@ from .xcorr import (
 )
 
 __all__ = [
-    "CabParams", "Param", "LagScoreVector", "LagSelection",
+    "CAB_RAW", "CabOptions", "Param", "LagScoreVector", "LagSelection",
     "self_attention", "destationary_attention", "correlated_attention",
     "mixture_of_head", "check_gradient", "matmul", "softmax_cols",
-    "l2_normalize_cols", "roll", "score_lags", "select_lags", "topk_lags",
-    "xcorr_all_lags_fft", "xcorr_all_lags_naive",
+    "l2_normalize_cols", "roll", "lag_mass", "score_lags", "select_lags",
+    "topk_lags", "xcorr_all_lags_fft", "xcorr_all_lags_naive",
 ]
 
 __version__ = "0.1.0"

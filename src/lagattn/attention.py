@@ -9,7 +9,7 @@ a step: gradients flow through the recomputed per-lag matrices only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,33 +30,22 @@ from .numerics import (
 )
 
 
-@dataclass
-class CabParams:
-    """Correlated-attention scalars in unconstrained parameterization.
+# Default raw (unconstrained) CAB scalars of one correlated head, keyed by
+# their parameter-registry names: beta = sigmoid(beta_raw), tau =
+# softplus(tau_raw), lam = sigmoid(lambda_raw). They decode to beta = lam =
+# 1/2 and tau = 1.
+CAB_RAW = {"beta_raw": 0.0, "tau_raw": 0.541324854612918, "lambda_raw": 0.0}
 
-    lam = sigmoid(lambda_raw), beta = sigmoid(beta_raw), tau = softplus(tau_raw).
-    Defaults decode to lam = beta = 1/2 and tau = 1.
-    """
 
-    lambda_raw: float = 0.0
-    beta_raw: float = 0.0
-    tau_raw: float = 0.541324854612918  # softplus^-1(1)
-    c: int = 1
-    lambda_mode: str = "fixed"  # "fixed" | "learnable" (soft-score extension)
-    use_fft: bool = True
-    filtering_enabled: bool = True  # off => instantaneous-only (beta forced to 0)
+@dataclass(frozen=True)
+class CabOptions:
+    """Run-wide CAB choices, the same for every correlated head."""
 
-    @property
-    def lam(self) -> float:
-        return float(sigmoid(self.lambda_raw))
-
-    @property
-    def beta(self) -> float:
-        return 0.0 if not self.filtering_enabled else float(sigmoid(self.beta_raw))
-
-    @property
-    def tau(self) -> float:
-        return float(softplus(self.tau_raw))
+    c: int = 1                 # k = c * ceil(ln T) lags
+    use_fft: bool = True       # FFT or naive lag scoring
+    filtering: bool = True     # off => instantaneous only, beta = 0
+    soft: bool = False         # soft-score extension: lag terms weighted by a
+                               # softmax of their scores, so lambda is learnable
 
 
 # ---------------------------------------------------------------------------
@@ -141,27 +130,29 @@ def destationary_attention(q, k, v, xi, delta):
 # correlated attention (CAB)
 
 
-def correlated_attention_fwd(q, k, v, params: CabParams):
+def correlated_attention_fwd(q, k, v, raw: dict, opts: CabOptions = CabOptions()):
+    """``raw`` holds the head's scalars keyed like ``CAB_RAW``."""
     q, k, v = as_matrix(q), as_matrix(k), as_matrix(v)
     if not (q.shape == k.shape == v.shape):
         raise ShapeError(f"CAB needs equal shapes, got q {q.shape}, k {k.shape}, v {v.shape}")
     t = q.shape[0]
     if t < 2:
         raise DegenerateSeriesError(f"CAB needs T >= 2, got {t}")
-    lam, beta, tau = params.lam, params.beta, params.tau
+    lam = float(sigmoid(raw["lambda_raw"]))
+    beta = float(sigmoid(raw["beta_raw"])) if opts.filtering else 0.0
+    tau = float(softplus(raw["tau_raw"]))
 
     q_hat = l2_normalize_cols(q)
     k_hat = l2_normalize_cols(k)
 
-    if params.filtering_enabled:
-        selection, scores = xcorr.select_lags(q_hat, k_hat, lam, params.c,
-                                              use_fft=params.use_fft)
+    if opts.filtering:
+        selection, scores = xcorr.select_lags(q_hat, k_hat, lam, opts.c,
+                                              use_fft=opts.use_fft)
         lags = selection.lags
     else:
         selection, scores, lags = None, None, []
 
-    soft = params.lambda_mode == "learnable" and lags
-    if soft:
+    if opts.soft and lags:
         comb = np.array([scores.combined[l] for l in lags])
         shifted = comb - comb.max()
         omega = np.exp(shifted)
@@ -185,14 +176,14 @@ def correlated_attention_fwd(q, k, v, params: CabParams):
         lagged_sum += w * term
 
     out = (1.0 - beta) * inst + beta * lagged_sum
-    cache = (q, k, v, q_hat, k_hat, params, lam, beta, tau,
+    cache = (q, k, v, q_hat, k_hat, raw, lam, beta, tau,
              a0, s0, inst, lag_terms, weights, omega, scores, lagged_sum, selection)
     return out, cache
 
 
 def correlated_attention_bwd(cache, g):
-    """Returns (dq, dk, dv, dbeta_raw, dtau_raw, dlambda_raw)."""
-    (q, k, v, q_hat, k_hat, params, lam, beta, tau,
+    """Returns (dq, dk, dv, draw), ``draw`` keyed like ``CAB_RAW``."""
+    (q, k, v, q_hat, k_hat, raw, lam, beta, tau,
      a0, s0, inst, lag_terms, weights, omega, scores, lagged_sum, _sel) = cache
 
     dv = np.zeros_like(v)
@@ -200,7 +191,7 @@ def correlated_attention_bwd(cache, g):
     dk_hat = np.zeros_like(k_hat)
     dtau = 0.0
 
-    dbeta = float((g * (lagged_sum - inst)).sum()) if params.filtering_enabled else 0.0
+    dbeta = float((g * (lagged_sum - inst)).sum())
 
     def backprop_term(l, a_l, s_l, dterm):
         nonlocal dtau
@@ -232,17 +223,15 @@ def correlated_attention_bwd(cache, g):
     dq = l2_normalize_cols_adjoint(dq_hat, q)
     dk = l2_normalize_cols_adjoint(dk_hat, k)
 
-    # chain to the unconstrained raws
-    beta_sig = sigmoid(params.beta_raw)
-    dbeta_raw = dbeta * float(beta_sig * (1.0 - beta_sig)) if params.filtering_enabled else 0.0
-    dtau_raw = dtau * float(sigmoid(params.tau_raw))
-    lam_sig = sigmoid(params.lambda_raw)
-    dlambda_raw = dlam * float(lam_sig * (1.0 - lam_sig))
-    return dq, dk, dv, dbeta_raw, dtau_raw, dlambda_raw
+    # chain to the raws; beta pinned to 0 (no filtering) has slope 0
+    draw = {"beta_raw": dbeta * (beta * (1.0 - beta)),
+            "tau_raw": dtau * float(sigmoid(raw["tau_raw"])),
+            "lambda_raw": dlam * (lam * (1.0 - lam))}
+    return dq, dk, dv, draw
 
 
-def correlated_attention(q, k, v, params: CabParams):
-    return correlated_attention_fwd(q, k, v, params)[0]
+def correlated_attention(q, k, v, raw: dict, opts: CabOptions = CabOptions()):
+    return correlated_attention_fwd(q, k, v, raw, opts)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +246,7 @@ class HeadSpec:
     w_q: np.ndarray
     w_k: np.ndarray
     w_v: np.ndarray
-    cab: CabParams | None = None
+    raw: dict | None = None      # correlated heads: scalars keyed like CAB_RAW
 
 
 @dataclass
@@ -267,6 +256,7 @@ class MixtureWeights:
     # shared de-stationary scalars, used by "destat" heads only
     xi: float = 1.0
     delta: np.ndarray | None = None
+    cab: CabOptions = CabOptions()   # shared by every correlated head
 
 
 def _validate_mixture(x, mix: MixtureWeights):
@@ -274,8 +264,8 @@ def _validate_mixture(x, mix: MixtureWeights):
     for i, h in enumerate(mix.heads):
         if h.w_q.shape[0] != d_model or h.w_q.shape != h.w_k.shape or h.w_q.shape != h.w_v.shape:
             raise ShapeError(f"head {i}: projection shapes inconsistent with d_model {d_model}")
-        if h.kind == "correlated" and h.cab is None:
-            raise ParameterError(f"head {i} is correlated but has no CAB parameters")
+        if h.kind == "correlated" and h.raw is None:
+            raise ParameterError(f"head {i} is correlated but has no CAB scalars")
         if h.kind not in ("self", "destat", "correlated"):
             raise ParameterError(f"head {i}: unknown kind {h.kind!r}")
     d_v = mix.heads[0].w_v.shape[1]
@@ -296,7 +286,7 @@ def mixture_of_head_fwd(x, mix: MixtureWeights):
         elif h.kind == "destat":
             out, c = destationary_attention_fwd(q, k, v, mix.xi, mix.delta)
         else:
-            out, c = correlated_attention_fwd(q, k, v, h.cab)
+            out, c = correlated_attention_fwd(q, k, v, h.raw, mix.cab)
         outputs.append(out)
         head_caches.append((q, k, v, c))
     concat = np.concatenate(outputs, axis=1)
@@ -307,8 +297,8 @@ def mixture_of_head_fwd(x, mix: MixtureWeights):
 def mixture_of_head_bwd(cache, g):
     """Returns (dx, head_grads, dw_o, dxi, ddelta).
 
-    ``head_grads`` is a list of dicts with dw_q/dw_k/dw_v and, for
-    correlated heads, dbeta_raw/dtau_raw/dlambda_raw.
+    ``head_grads`` is one dict per head, keyed by the registry suffix of each
+    parameter: w_q, w_k, w_v and, for correlated heads, the ``CAB_RAW`` names.
     """
     x, mix, head_caches, concat = cache
     dconcat = g @ mix.w_o.T
@@ -328,11 +318,8 @@ def mixture_of_head_bwd(cache, g):
             dxi_total += dxi
             ddelta_total = ddelta if ddelta_total is None else ddelta_total + ddelta
         else:
-            dq, dk, dv, db, dt, dl = correlated_attention_bwd(c, gh)
-            grads.update(dbeta_raw=db, dtau_raw=dt, dlambda_raw=dl)
-        grads["dw_q"] = x.T @ dq
-        grads["dw_k"] = x.T @ dk
-        grads["dw_v"] = x.T @ dv
+            dq, dk, dv, grads = correlated_attention_bwd(c, gh)
+        grads.update(w_q=x.T @ dq, w_k=x.T @ dk, w_v=x.T @ dv)
         dx += dq @ h.w_q.T + dk @ h.w_k.T + dv @ h.w_v.T
         head_grads.append(grads)
     return dx, head_grads, dw_o, dxi_total, ddelta_total

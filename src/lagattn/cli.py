@@ -22,7 +22,7 @@ import numpy as np
 from . import model as M
 from . import synthdata as S
 from . import xcorr
-from .attention import CabParams, correlated_attention
+from .attention import CAB_RAW, correlated_attention
 from .model import RunConfig
 
 EXIT_USAGE = 2
@@ -49,6 +49,11 @@ CHOICES = {
     "lag_path": ("fft", "naive"),
     "lambda_mode": ("fixed", "learnable"),
 }
+
+
+# accepted spellings of the boolean config values
+BOOLEANS = {"True": True, "true": True, "1": True, "on": True,
+            "False": False, "false": False, "0": False, "off": False}
 
 
 class UsageError(ValueError):
@@ -124,12 +129,12 @@ def config_from_dict(values: dict) -> RunConfig:
         cur = defaults[key]
         try:
             if isinstance(cur, bool):
-                setattr(cfg, key, raw in ("True", "true", "1", "on"))
+                setattr(cfg, key, BOOLEANS[raw])
             elif isinstance(cur, (int, float)):
                 setattr(cfg, key, type(cur)(raw))
             else:
                 setattr(cfg, key, raw)
-        except ValueError:
+        except (KeyError, ValueError):
             raise UsageError(f"config key {key!r}: bad value {raw!r}") from None
     return cfg
 
@@ -304,12 +309,11 @@ def cmd_bench(args) -> int:
             q = rng.normal(size=(t, d))
             k = rng.normal(size=(t, d))
             v = rng.normal(size=(t, d))
-            cab = CabParams(c=1)
             naive = _median_time(lambda: xcorr.xcorr_all_lags_naive(q, k),
                                  args.reps, args.warmup)
             fft = _median_time(lambda: xcorr.xcorr_all_lags_fft(q, k),
                                args.reps, args.warmup)
-            full = _median_time(lambda: correlated_attention(q, k, v, cab),
+            full = _median_time(lambda: correlated_attention(q, k, v, CAB_RAW),
                                 args.reps, args.warmup)
             rows.append((t, d, naive, fft, full))
             print(f"{t},{d},{naive:.6g},{fft:.6g},{full:.6g}")
@@ -364,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", choices=("transformer", "nonstationary"),
                        default=None)
         p.add_argument("--cab", choices=("on", "off"), default=None)
-        p.add_argument("--ablation", choices=ABLATION_PRESETS, default=None)
         p.add_argument("--d-model", dest="d_model", type=int, default=None)
         p.add_argument("--d-k", dest="d_k", type=int, default=None)
         p.add_argument("--h", type=int, default=None)
@@ -383,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train a model")
     add_train_flags(t)
+    t.add_argument("--ablation", choices=ABLATION_PRESETS, default=None)
     t.add_argument("--checkpoint", default=None)
     t.add_argument("--metrics", default=None)
     t.set_defaults(func=cmd_train)
@@ -407,10 +411,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _model_flag_to_temporal(args) -> None:
-    if getattr(args, "model", None) == "nonstationary":
-        args.temporal = "destat"
-    elif getattr(args, "model", None) == "transformer" and args.temporal is None:
-        args.temporal = "self"
+    """--model names the temporal heads; an explicit --temporal must agree."""
+    model = getattr(args, "model", None)
+    if model is None:
+        return
+    implied = "destat" if model == "nonstationary" else "self"
+    if args.temporal not in (None, implied):
+        raise UsageError(f"--model {model} needs --temporal {implied}, "
+                         f"got --temporal {args.temporal}")
+    args.temporal = implied
 
 
 def main(argv=None) -> int:

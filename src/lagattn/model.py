@@ -11,12 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .attention import (
-    CabParams,
+    CabOptions,
     HeadSpec,
     MixtureWeights,
     mixture_of_head_bwd,
@@ -297,10 +297,8 @@ def model_forward(x, params: dict, cfg: RunConfig):
         hrep = hrep + _positional_encoding(t, cfg.d_model)
 
     scalars = _cab_scalars(cfg)
-    fixed = CabParams(c=cfg.c, lambda_mode=cfg.lambda_mode, use_fft=cfg.lag_path == "fft",
-                      filtering_enabled=cfg.filtering_enabled,
-                      **{name: raw for name, (raw, _) in scalars.items()})
-    learned = [name for name, (_, on) in scalars.items() if on]
+    cab = CabOptions(c=cfg.c, use_fft=cfg.lag_path == "fft",
+                     filtering=cfg.filtering_enabled, soft=cfg.lambda_mode == "learnable")
 
     block_caches = []
     for b in range(cfg.n_blocks):
@@ -313,12 +311,12 @@ def model_forward(x, params: dict, cfg: RunConfig):
                 w_q=params[f"{prefix}.w_q"].value,
                 w_k=params[f"{prefix}.w_k"].value,
                 w_v=params[f"{prefix}.w_v"].value,
-                cab=replace(fixed, **{name: float(params[f"{prefix}.{name}"].value)
-                                      for name in learned})
+                raw={name: float(params[f"{prefix}.{name}"].value) if on else fixed
+                     for name, (fixed, on) in scalars.items()}
                 if kind == "correlated" else None,
             ))
         mix = MixtureWeights(heads=heads, w_o=params[f"block{b}.w_o"].value,
-                             xi=xi, delta=delta)
+                             xi=xi, delta=delta, cab=cab)
         attn_out, attn_cache = mixture_of_head_fwd(hrep, mix)
         r1, ln1_cache = _layernorm_fwd(hrep + attn_out,
                                        params[f"block{b}.ln1.gain"].value,
@@ -381,15 +379,10 @@ def model_backward(dpred, cache, params: dict, cfg: RunConfig):
         if ddelta is not None:
             ddelta_total += ddelta
         for i, grads in enumerate(head_grads):
-            params[f"block{b}.head{i}.w_q"].grad += grads["dw_q"]
-            params[f"block{b}.head{i}.w_k"].grad += grads["dw_k"]
-            params[f"block{b}.head{i}.w_v"].grad += grads["dw_v"]
-            for key, pname in (("dbeta_raw", "beta_raw"), ("dtau_raw", "tau_raw"),
-                               ("dlambda_raw", "lambda_raw")):
-                if key in grads:
-                    p = params.get(f"block{b}.head{i}.{pname}")
-                    if p is not None:
-                        p.grad += grads[key]
+            for name, grad in grads.items():
+                p = params.get(f"block{b}.head{i}.{name}")
+                if p is not None:       # fixed CAB scalars have no entry
+                    p.grad += grad
         dh = dr1_in + dx_attn
 
     params["embed.w"].grad += xp.T @ dh
@@ -668,14 +661,23 @@ def load_checkpoint(path) -> dict:
         header = lines[i].split()
         if len(header) < 2:
             raise CheckpointError(f"{path}: malformed header at line {i + 1}")
-        name, ndim = header[0], int(header[1])
-        shape = tuple(int(s) for s in header[2:2 + ndim])
-        if len(shape) != ndim:
+        name = header[0]
+        try:
+            ndim = int(header[1])
+            shape = tuple(int(s) for s in header[2:2 + ndim])
+        except ValueError:
+            raise CheckpointError(f"{path}: non-integer dimension in header at "
+                                  f"line {i + 1}") from None
+        if len(shape) != ndim or any(s < 0 for s in shape):
             raise CheckpointError(f"{path}: header/shape mismatch at line {i + 1}")
         if i + 1 >= len(lines):
             raise CheckpointError(f"{path}: missing values for {name}")
-        vals = np.array([float(s) for s in lines[i + 1].split(",")] if lines[i + 1]
-                        else [], dtype=np.float64)
+        try:
+            vals = np.array([float(s) for s in lines[i + 1].split(",")]
+                            if lines[i + 1] else [], dtype=np.float64)
+        except ValueError:
+            raise CheckpointError(f"{path}: non-numeric value for {name} at "
+                                  f"line {i + 2}") from None
         expected = int(np.prod(shape)) if shape else 1
         if vals.size != expected:
             raise CheckpointError(f"{path}: {name} expected {expected} values, "

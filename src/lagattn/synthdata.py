@@ -244,17 +244,23 @@ def read_dataset(path) -> tuple:
             has_mask = bool(int(has_mask))
             has_flags = bool(int(has_flags))
             n_planted = int(n_planted)
+            label = None if label_s == "-" else int(label_s)
         except ValueError:
-            fail(ln, "sample header flags must be integers")
-        label = None if label_s == "-" else int(label_s)
+            fail(ln, "sample header flags and label must be integers")
         ln += 1
         planted = []
         for _ in range(n_planted):
+            if ln >= len(lines):
+                fail(len(lines) - 1, "unexpected end of file in planted lags")
             parts = lines[ln].split()
             if len(parts) != 4:
                 fail(ln, "planted lag record needs 'src dst lag weight'")
-            planted.append((int(parts[0]), int(parts[1]), int(parts[2]),
-                            float(parts[3])))
+            try:
+                planted.append((int(parts[0]), int(parts[1]), int(parts[2]),
+                                float(parts[3])))
+            except ValueError:
+                fail(ln, "planted lag record needs integer src dst lag and a "
+                     "numeric weight")
             ln += 1
 
         def read_block(rows, cast, what):

@@ -1,10 +1,11 @@
 """Lagged cross-covariance over all circular lags, scoring, and TopK selection.
 
-Two routes compute the per-lag matrices M_l = roll(K, l)^T Q: a naive
-O(d^2 T^2) loop (the oracle) and an FFT route in O(d^2 T log T). Scores mix
-the absolute diagonal (auto-correlation) and off-diagonal (cross-feature)
-mass of each M_l with a convex weight, and TopK picks the best lags in
-[1, T-1] deterministically.
+Two routes measure the per-lag matrices M_l = roll(K, l)^T Q: a naive
+O(d^2 T^2) loop that builds the T x d x d stack (the oracle, reduced by
+``lag_mass``) and an FFT route in O(d^2 T log T) that streams the same
+per-lag mass without the stack. Scores mix the absolute diagonal
+(auto-correlation) and off-diagonal (cross-feature) mass of each M_l with a
+convex weight, and TopK picks the best lags in [1, T-1] deterministically.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DegenerateSeriesError, ParameterError, ShapeError, as_matrix, roll
+from .numerics import DegenerateSeriesError, ParameterError, ShapeError, as_matrix
 
 
 @dataclass
@@ -22,14 +23,11 @@ class LagScoreVector:
     diag_scores: np.ndarray      # length T, sum_i |M_l(i,i)|
     nondiag_scores: np.ndarray   # length T, sum_{i != j} |M_l(i,j)|
     combined: np.ndarray         # lam * diag + (1 - lam) * nondiag
-    lam: float
 
 
 @dataclass
 class LagSelection:
     lags: list       # k distinct lags in [1, T-1], best first
-    k: int
-    c: int
 
 
 def _check_pair(q: np.ndarray, k: np.ndarray):
@@ -60,18 +58,22 @@ def xcorr_all_lags_naive(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
-def xcorr_all_lags_fft(q: np.ndarray, k: np.ndarray, return_stack: bool = False):
-    """FFT route over all lags.
+def lag_mass(stack: np.ndarray) -> tuple:
+    """Per-lag absolute mass of a T x d x d stack: ``(diag, nondiag)``, the
+    diagonal sum and the off-diagonal sum of |M_l(i, j)|."""
+    stack = np.asarray(stack, dtype=np.float64)
+    diag = np.abs(np.diagonal(stack, axis1=1, axis2=2)).sum(axis=1)
+    return diag, np.abs(stack).sum(axis=(1, 2)) - diag
 
-    By default streams one key column at a time, accumulating |M_l(i, j)|
-    into diagonal / off-diagonal totals without materializing the T x d x d
-    stack; with ``return_stack`` the full stack is built (testing only).
 
-    Returns ``(diag_scores, nondiag_scores, stack_or_None)``.
+def xcorr_all_lags_fft(q: np.ndarray, k: np.ndarray) -> tuple:
+    """FFT route over all lags: ``(diag, nondiag)`` as ``lag_mass`` gives it
+    for the naive stack.
 
-    The spectral pairing is fixed so that the inverse transform of
-    FFT(q_j) * conj(FFT(k_i)) reproduces the naive stack entrywise; the
-    equivalence is pinned by tests.
+    Streams one key column at a time, accumulating |M_l(i, j)| into the
+    diagonal / off-diagonal totals without materializing the T x d x d
+    stack. Column i of M_l is the inverse transform of FFT(q_j) *
+    conj(FFT(k_i)); the equivalence with the naive route is pinned by tests.
     """
     q, k = _check_pair(q, k)
     t, d = q.shape
@@ -79,13 +81,6 @@ def xcorr_all_lags_fft(q: np.ndarray, k: np.ndarray, return_stack: bool = False)
         raise DegenerateSeriesError(f"need at least 2 time steps, got {t}")
     fq = np.fft.rfft(q, axis=0)            # F x d
     fk = np.fft.rfft(k, axis=0)
-    if return_stack:
-        # stack[l, i, j] = irfft(fq[:, j] * conj(fk[:, i]))[l]
-        prod = fq[:, None, :] * np.conj(fk)[:, :, None]
-        stack = np.fft.irfft(prod, n=t, axis=0)
-        diag = np.abs(np.diagonal(stack, axis1=1, axis2=2)).sum(axis=1)
-        nondiag = np.abs(stack).sum(axis=(1, 2)) - diag
-        return diag, nondiag, stack
     diag = np.zeros(t)
     nondiag = np.zeros(t)
     for i in range(d):
@@ -93,27 +88,16 @@ def xcorr_all_lags_fft(q: np.ndarray, k: np.ndarray, return_stack: bool = False)
         absrows = np.abs(rows)
         diag += absrows[:, i]
         nondiag += absrows.sum(axis=1) - absrows[:, i]
-    return diag, nondiag, None
+    return diag, nondiag
 
 
-def score_lags(stack_or_parts, lam: float) -> LagScoreVector:
-    """Convex mix of diagonal and off-diagonal absolute mass per lag.
-
-    Accepts either a T x d x d stack or a precomputed ``(diag, nondiag)``
-    pair as produced by the FFT route.
-    """
+def score_lags(diag, nondiag, lam: float) -> LagScoreVector:
+    """Convex mix of diagonal and off-diagonal absolute mass per lag."""
     if not 0.0 <= lam <= 1.0:
         raise ParameterError(f"lambda must lie in [0, 1], got {lam}")
-    if isinstance(stack_or_parts, tuple):
-        diag, nondiag = stack_or_parts[0], stack_or_parts[1]
-        diag = np.asarray(diag, dtype=np.float64)
-        nondiag = np.asarray(nondiag, dtype=np.float64)
-    else:
-        stack = np.asarray(stack_or_parts, dtype=np.float64)
-        diag = np.abs(np.diagonal(stack, axis1=1, axis2=2)).sum(axis=1)
-        nondiag = np.abs(stack).sum(axis=(1, 2)) - diag
-    combined = lam * diag + (1.0 - lam) * nondiag
-    return LagScoreVector(diag, nondiag, combined, lam)
+    diag = np.asarray(diag, dtype=np.float64)
+    nondiag = np.asarray(nondiag, dtype=np.float64)
+    return LagScoreVector(diag, nondiag, lam * diag + (1.0 - lam) * nondiag)
 
 
 def topk_count(c: int, t: int) -> int:
@@ -127,17 +111,16 @@ def topk_lags(scores: LagScoreVector, c: int, t: int) -> LagSelection:
         raise DegenerateSeriesError(f"need T >= 2, got {t}")
     if c < 1:
         raise ParameterError(f"c must be a positive integer, got {c}")
-    k = topk_count(c, t)
     candidates = sorted(range(1, t), key=lambda l: (-scores.combined[l], l))
-    return LagSelection(lags=candidates[:k], k=k, c=c)
+    return LagSelection(lags=candidates[:topk_count(c, t)])
 
 
 def select_lags(q_hat: np.ndarray, k_hat: np.ndarray, lam: float, c: int,
                 use_fft: bool = True) -> tuple:
     """One-stop lag selection. Returns (LagSelection, LagScoreVector)."""
     if use_fft:
-        diag, nondiag, _ = xcorr_all_lags_fft(q_hat, k_hat)
-        scores = score_lags((diag, nondiag), lam)
+        diag, nondiag = xcorr_all_lags_fft(q_hat, k_hat)
     else:
-        scores = score_lags(xcorr_all_lags_naive(q_hat, k_hat), lam)
+        diag, nondiag = lag_mass(xcorr_all_lags_naive(q_hat, k_hat))
+    scores = score_lags(diag, nondiag, lam)
     return topk_lags(scores, c, q_hat.shape[0]), scores

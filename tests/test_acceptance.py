@@ -14,14 +14,21 @@ import pytest
 from lagattn import cli
 from lagattn import model as M
 from lagattn.attention import (
-    CabParams,
+    CAB_RAW,
+    CabOptions,
     HeadSpec,
     MixtureWeights,
     correlated_attention,
     mixture_of_head,
     self_attention,
 )
-from lagattn.numerics import check_gradient, l2_normalize_cols, softmax_cols, zero_grads
+from lagattn.numerics import (
+    check_gradient,
+    l2_normalize_cols,
+    softmax_cols,
+    softplus,
+    zero_grads,
+)
 from lagattn.synthdata import (
     DatasetSpec,
     apply_mask,
@@ -32,6 +39,7 @@ from lagattn.synthdata import (
     write_dataset,
 )
 from lagattn.xcorr import (
+    lag_mass,
     score_lags,
     topk_lags,
     xcorr_all_lags_fft,
@@ -56,7 +64,8 @@ def report(capsys):
 
 
 def test_c1_oracle_equivalence(report):
-    """FFT all-lags stack matches the naive stack entrywise within 1e-9."""
+    """The FFT route's per-lag (diag, nondiag) mass matches lag_mass of the
+    naive stack within 1e-9."""
     worst = 0.0
     for t in (8, 16, 96, 128):
         for d in (1, 2, 4, 8):
@@ -64,9 +73,9 @@ def test_c1_oracle_equivalence(report):
                 rng = np.random.default_rng([seed, t, d])
                 q = l2_normalize_cols(rng.normal(size=(t, d)))
                 k = l2_normalize_cols(rng.normal(size=(t, d)))
-                naive = xcorr_all_lags_naive(q, k)
-                _, _, fft = xcorr_all_lags_fft(q, k, return_stack=True)
-                worst = max(worst, float(np.abs(fft - naive).max()))
+                naive = lag_mass(xcorr_all_lags_naive(q, k))
+                for f, n in zip(xcorr_all_lags_fft(q, k), naive):
+                    worst = max(worst, float(np.abs(f - n).max()))
     report(1, "oracle equivalence fft vs naive", worst <= 1e-9,
            f"max abs diff {worst:.3e}")
 
@@ -102,10 +111,10 @@ def _recovery_rate(noise, seeds=100):
         diag = nondiag = 0.0
         for s in gen_lagged_series(spec):
             f = l2_normalize_cols(s.values)
-            d, nd, _ = xcorr_all_lags_fft(f, f)
+            d, nd = xcorr_all_lags_fft(f, f)
             diag = diag + d
             nondiag = nondiag + nd
-        sel = topk_lags(score_lags((diag, nondiag), 0.0), 1, 96)
+        sel = topk_lags(score_lags(diag, nondiag, 0.0), 1, 96)
         hits += int({7, 13} <= set(sel.lags))
     return hits / seeds
 
@@ -125,10 +134,9 @@ def test_c4_endpoint_identities(report):
 
     # beta = 0: exactly the instantaneous-only output
     q, k, v = rand((12, 4), 20), rand((12, 4), 21), rand((12, 4), 22)
-    cab = CabParams(filtering_enabled=False)
-    out = correlated_attention(q, k, v, cab)
+    out = correlated_attention(q, k, v, CAB_RAW, CabOptions(filtering=False))
     qh, kh = l2_normalize_cols(q), l2_normalize_cols(k)
-    inst = v @ softmax_cols(kh.T @ qh, cab.tau)
+    inst = v @ softmax_cols(kh.T @ qh, float(softplus(CAB_RAW["tau_raw"])))
     if not np.array_equal(out, inst):
         ok, detail = False, detail + ["beta=0"]
 
@@ -149,7 +157,7 @@ def test_c4_endpoint_identities(report):
 
     # d_k = 1, beta = 0: returns V exactly
     q1, k1, v1 = rand((9, 1), 25), rand((9, 1), 26), rand((9, 1), 27)
-    out1 = correlated_attention(q1, k1, v1, CabParams(filtering_enabled=False))
+    out1 = correlated_attention(q1, k1, v1, CAB_RAW, CabOptions(filtering=False))
     if not np.array_equal(out1, v1):
         ok, detail = False, detail + ["d_k=1"]
 
@@ -225,12 +233,14 @@ def test_c6_directional_toy_task(report):
            f"params {n_cab} vs {n_base}")
 
 
-def correlated_heads(cfg):
-    """CabParams of block 0's correlated heads, as model_forward uses them."""
+def block0_attention(cfg):
+    """Block 0's MixtureWeights and its correlated heads' forward caches, as
+    model_forward builds them."""
     params = M.init_params(cfg, seed=0)
     _, cache = M.model_forward(rand((8, cfg.d_in), 28), params, cfg)
-    attn_cache = cache[4][0][0]
-    return [h.cab for h in attn_cache[1].heads if h.kind == "correlated"]
+    _, mix, head_caches, _ = cache[4][0][0]
+    return mix, [c for h, (_, _, _, c) in zip(mix.heads, head_caches)
+                 if h.kind == "correlated"]
 
 
 def test_c7_ablation_harness(report, tmp_path, capsys):
@@ -238,8 +248,10 @@ def test_c7_ablation_harness(report, tmp_path, capsys):
     ok = True
     detail = []
     pure = cli.apply_ablation(cli.RunConfig(ablation="pure"))
-    cab = correlated_heads(pure)[0]
-    if not (pure.m == 0 and cab.beta == 0.0 and not cab.filtering_enabled):
+    mix, cab_caches = block0_attention(pure)
+    betas = [c[7] for c in cab_caches]          # beta as the CAB forward used it
+    if not (pure.m == 0 and not mix.cab.filtering
+            and len(betas) == pure.h and all(b == 0.0 for b in betas)):
         ok, detail = False, detail + ["pure"]
     static = cli.apply_ablation(cli.RunConfig(ablation="static"))
     if not (static.lambda_mode == "fixed" and not static.beta_learnable

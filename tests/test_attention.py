@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lagattn.attention import (
-    CabParams,
+    CAB_RAW,
+    CabOptions,
     HeadSpec,
     MixtureWeights,
     correlated_attention,
@@ -24,8 +25,15 @@ from lagattn.numerics import (
     check_gradient,
     l2_normalize_cols,
     softmax_cols,
+    softplus,
     zero_grads,
 )
+
+NO_FILTERING = CabOptions(filtering=False)
+
+
+def with_beta(beta_raw):
+    return {**CAB_RAW, "beta_raw": beta_raw}
 
 
 def rand(shape, seed=0):
@@ -98,21 +106,20 @@ class TestDestationaryAttention:
 class TestCorrelatedAttention:
     def test_beta_zero_instantaneous_only(self):
         q, k, v = rand((10, 4), 18), rand((10, 4), 19), rand((10, 4), 20)
-        cab = CabParams(beta_raw=0.0, filtering_enabled=False)
-        out = correlated_attention(q, k, v, cab)
+        out = correlated_attention(q, k, v, CAB_RAW, NO_FILTERING)
         qh, kh = l2_normalize_cols(q), l2_normalize_cols(k)
-        expect = v @ softmax_cols(kh.T @ qh, cab.tau)
+        expect = v @ softmax_cols(kh.T @ qh, float(softplus(CAB_RAW["tau_raw"])))
         assert np.array_equal(out, expect)
 
     def test_dk1_beta0_returns_v(self):
         q, k, v = rand((7, 1), 21), rand((7, 1), 22), rand((7, 1), 23)
-        cab = CabParams(filtering_enabled=False)
-        assert np.allclose(correlated_attention(q, k, v, cab), v, atol=1e-15)
+        assert np.allclose(correlated_attention(q, k, v, CAB_RAW, NO_FILTERING), v,
+                           atol=1e-15)
 
     def test_fft_and_naive_paths_identical(self):
         q, k, v = rand((16, 4), 24), rand((16, 4), 25), rand((16, 4), 26)
-        out_f = correlated_attention(q, k, v, CabParams(use_fft=True))
-        out_n = correlated_attention(q, k, v, CabParams(use_fft=False))
+        out_f = correlated_attention(q, k, v, CAB_RAW, CabOptions(use_fft=True))
+        out_n = correlated_attention(q, k, v, CAB_RAW, CabOptions(use_fft=False))
         assert np.abs(out_f - out_n).max() < 1e-9
 
     def test_output_in_value_range_single_lag(self):
@@ -120,7 +127,7 @@ class TestCorrelatedAttention:
         # rolled-V columns, so the output stays inside V's entry range
         q, k = rand((2, 3), 27), rand((2, 3), 28)
         v = np.random.default_rng(29).uniform(-2.0, 5.0, size=(2, 3))
-        out = correlated_attention(q, k, v, CabParams(beta_raw=1.3))
+        out = correlated_attention(q, k, v, with_beta(1.3))
         assert out.min() >= -2.0 - 1e-12 and out.max() <= 5.0 + 1e-12
 
     def test_output_range_scales_with_lag_count(self):
@@ -128,10 +135,9 @@ class TestCorrelatedAttention:
         # (1 - beta) + beta * k times V's range
         q, k = rand((12, 3), 27), rand((12, 3), 28)
         v = np.random.default_rng(29).uniform(-2.0, 5.0, size=(12, 3))
-        cab = CabParams(beta_raw=1.3)
-        out, cache = correlated_attention_fwd(q, k, v, cab)
-        kk = len(cache[12])
-        bound = (1.0 - cab.beta) + cab.beta * kk
+        out, cache = correlated_attention_fwd(q, k, v, with_beta(1.3))
+        kk, beta = len(cache[12]), cache[7]
+        bound = (1.0 - beta) + beta * kk
         assert out.min() >= -2.0 * bound - 1e-12
         assert out.max() <= 5.0 * bound + 1e-12
         # and each individual term is itself inside the range
@@ -141,11 +147,11 @@ class TestCorrelatedAttention:
     def test_beta_endpoint_interpolation(self):
         q, k, v = rand((9, 3), 30), rand((9, 3), 31), rand((9, 3), 32)
         big = 50.0  # sigmoid(+-50) is 1.0 / 0.0 in float64
-        inst = correlated_attention(q, k, v, CabParams(beta_raw=-big))
+        inst = correlated_attention(q, k, v, with_beta(-big))
         qh, kh = l2_normalize_cols(q), l2_normalize_cols(k)
         assert np.allclose(inst, v @ softmax_cols(kh.T @ qh, 1.0), atol=1e-15)
-        lagged = correlated_attention(q, k, v, CabParams(beta_raw=big))
-        out_mid, cache = correlated_attention_fwd(q, k, v, CabParams(beta_raw=0.0))
+        lagged = correlated_attention(q, k, v, with_beta(big))
+        out_mid, cache = correlated_attention_fwd(q, k, v, with_beta(0.0))
         lag_terms = cache[12]
         assert np.allclose(lagged, sum(term for (_, _, _, term) in lag_terms),
                            atol=1e-12)
@@ -160,24 +166,22 @@ class TestCorrelatedAttention:
 
     def test_selection_scale_invariance(self):
         q, k, v = rand((20, 4), 34), rand((20, 4), 35), rand((20, 4), 36)
-        out1, cache1 = correlated_attention_fwd(q, k, v, CabParams())
-        out2, cache2 = correlated_attention_fwd(7.5 * q, 7.5 * k, v, CabParams())
+        out1, cache1 = correlated_attention_fwd(q, k, v, CAB_RAW)
+        out2, cache2 = correlated_attention_fwd(7.5 * q, 7.5 * k, v, CAB_RAW)
         assert cache1[17].lags == cache2[17].lags
         assert np.allclose(out1, out2, atol=1e-12)
 
     def test_degenerate_length(self):
         with pytest.raises(DegenerateSeriesError):
-            correlated_attention(rand((1, 2)), rand((1, 2)), rand((1, 2)),
-                                 CabParams())
+            correlated_attention(rand((1, 2)), rand((1, 2)), rand((1, 2)), CAB_RAW)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            correlated_attention(rand((8, 2)), rand((8, 2)), rand((8, 3)),
-                                 CabParams())
+            correlated_attention(rand((8, 2)), rand((8, 2)), rand((8, 3)), CAB_RAW)
 
 
 class TestCorrelatedAttentionGradients:
-    def _check(self, cab_kwargs, names=("q", "k", "v", "beta_raw", "tau_raw")):
+    def _check(self, opts, names=("q", "k", "v", "beta_raw", "tau_raw")):
         rng = np.random.default_rng(37)
         params = {n: Param(n, rng.normal(size=(8, 4))) for n in ("q", "k", "v")}
         params["beta_raw"] = Param("beta_raw", 0.4)
@@ -188,17 +192,13 @@ class TestCorrelatedAttentionGradients:
 
         def f(ps):
             zero_grads(ps)
-            cab = CabParams(beta_raw=float(params["beta_raw"].value),
-                            tau_raw=float(params["tau_raw"].value),
-                            lambda_raw=float(params["lambda_raw"].value),
-                            **cab_kwargs)
+            raw = {n: float(params[n].value) for n in CAB_RAW}
             out, cache = correlated_attention_fwd(
-                params["q"].value, params["k"].value, params["v"].value, cab)
+                params["q"].value, params["k"].value, params["v"].value, raw, opts)
             loss = float(((out @ w) ** 2).sum())
             g = 2.0 * (out @ w) @ w.T
-            dq, dk, dv, db, dt, dl = correlated_attention_bwd(cache, g)
-            for n, d in zip(("q", "k", "v", "beta_raw", "tau_raw", "lambda_raw"),
-                            (dq, dk, dv, db, dt, dl)):
+            dq, dk, dv, draw = correlated_attention_bwd(cache, g)
+            for n, d in {"q": dq, "k": dk, "v": dv, **draw}.items():
                 params[n].grad += d
             return loss
 
@@ -206,25 +206,25 @@ class TestCorrelatedAttentionGradients:
         assert report.passed, [(e.name, e.max_rel_err) for e in report.failures()]
 
     def test_default_mode(self):
-        self._check({"c": 1})
+        self._check(CabOptions(c=1))
 
     def test_filtering_disabled(self):
-        self._check({"filtering_enabled": False}, names=("q", "k", "v", "tau_raw"))
+        self._check(NO_FILTERING, names=("q", "k", "v", "tau_raw"))
 
     def test_lambda_soft_score_mode(self):
         # scores are frozen w.r.t. q/k, so only the scalars are checked here
-        self._check({"c": 2, "lambda_mode": "learnable"},
+        self._check(CabOptions(c=2, soft=True),
                     names=("beta_raw", "tau_raw", "lambda_raw"))
 
 
 class TestMixtureOfHead:
-    def _heads(self, n, d_model, d_k, kind="self", seed=40, cab=None):
+    def _heads(self, n, d_model, d_k, kind="self", seed=40, raw=None):
         rng = np.random.default_rng(seed)
         return [HeadSpec(kind=kind,
                          w_q=rng.normal(size=(d_model, d_k)),
                          w_k=rng.normal(size=(d_model, d_k)),
                          w_v=rng.normal(size=(d_model, d_k)),
-                         cab=cab)
+                         raw=raw)
                 for _ in range(n)]
 
     def test_m_equals_h_is_multihead_attention(self):
@@ -241,7 +241,7 @@ class TestMixtureOfHead:
     def test_even_temporal_correlated_split(self):
         x = rand((8, 4), 43)
         heads = (self._heads(8, 4, 2, "self", 44)
-                 + self._heads(8, 4, 2, "correlated", 45, cab=CabParams()))
+                 + self._heads(8, 4, 2, "correlated", 45, raw=CAB_RAW))
         mix = MixtureWeights(heads=heads, w_o=rand((32, 4), 46))
         out = mixture_of_head(x, mix)
         assert out.shape == (8, 4)
@@ -250,13 +250,13 @@ class TestMixtureOfHead:
     def test_output_shape_any_split(self, m):
         x = rand((6, 5), 47)
         heads = (self._heads(m, 5, 3, "self", 48)
-                 + self._heads(2 - m, 5, 3, "correlated", 49, cab=CabParams()))
+                 + self._heads(2 - m, 5, 3, "correlated", 49, raw=CAB_RAW))
         mix = MixtureWeights(heads=heads, w_o=rand((6, 5), 50))
         assert mixture_of_head(x, mix).shape == (6, 5)
 
     def test_correlated_head_without_cab_params(self):
         x = rand((6, 4), 51)
-        heads = self._heads(1, 4, 2, "correlated", 52, cab=None)
+        heads = self._heads(1, 4, 2, "correlated", 52, raw=None)
         with pytest.raises(ParameterError):
             mixture_of_head(x, MixtureWeights(heads=heads, w_o=rand((2, 4), 53)))
 

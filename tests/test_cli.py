@@ -103,6 +103,16 @@ class TestTrainEval:
                                    .read_text().splitlines()[-1])
         assert out["mse"] == train_summary["mse"]
 
+    def test_eval_corrupt_checkpoint_exit(self, toy_dataset, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST,
+                        "--checkpoint", str(ckpt)]) == 0
+        lines = ckpt.read_text().splitlines()
+        lines[2] = "oops"
+        ckpt.write_text("\n".join(lines) + "\n")
+        assert run_cli(["eval", "--data", str(toy_dataset),
+                        "--checkpoint", str(ckpt)]) == cli.EXIT_FILE
+
     def test_missing_dataset_file_exit(self, tmp_path, capsys):
         assert run_cli(["train", "--data", str(tmp_path / "nope"),
                         *TRAIN_FAST]) == cli.EXIT_FILE
@@ -140,28 +150,30 @@ class TestAblationPresets:
         return cli.apply_ablation(cfg)
 
     def _correlated_heads(self, cfg):
-        """Params and block 0's CabParams as model_forward uses them."""
+        """Params, block 0's CAB options and its correlated heads' decoded
+        (lam, beta), as model_forward uses them."""
         params = M.init_params(cfg, seed=0)
         x = np.random.default_rng(0).normal(size=(8, cfg.d_in))
-        attn_cache = M.model_forward(x, params, cfg)[1][4][0][0]
-        return params, [h.cab for h in attn_cache[1].heads if h.kind == "correlated"]
+        _, mix, head_caches, _ = M.model_forward(x, params, cfg)[1][4][0][0]
+        return params, mix.cab, [c[6:8] for h, (_, _, _, c) in
+                                 zip(mix.heads, head_caches) if h.kind == "correlated"]
 
     def test_pure_preset(self):
         cfg = self._cfg("pure")
         assert cfg.m == 0
         assert not cfg.filtering_enabled
-        params, cabs = self._correlated_heads(cfg)
-        assert len(cabs) == cfg.h
-        assert all(cab.beta == 0.0 and not cab.filtering_enabled for cab in cabs)
+        params, opts, scalars = self._correlated_heads(cfg)
+        assert not opts.filtering
+        assert len(scalars) == cfg.h
+        assert all(beta == 0.0 for _, beta in scalars)
         assert "block0.head0.beta_raw" not in params
 
     def test_static_preset(self):
         cfg = self._cfg("static")
         assert cfg.lambda_mode == "fixed" and not cfg.beta_learnable
         assert cfg.lambda_init == 0.5 and cfg.beta_init == 0.5
-        _, cabs = self._correlated_heads(cfg)
-        cab = cabs[0]
-        assert abs(cab.lam - 0.5) < 1e-15 and abs(cab.beta - 0.5) < 1e-15
+        lam, beta = self._correlated_heads(cfg)[2][0]
+        assert abs(lam - 0.5) < 1e-15 and abs(beta - 0.5) < 1e-15
 
     def test_lambda_preset(self):
         cfg = self._cfg("lambda")
@@ -176,6 +188,13 @@ class TestAblationPresets:
         params = M.init_params(cfg, seed=0)
         assert f"block0.head{cfg.m}.beta_raw" in params
         assert f"block0.head{cfg.m}.lambda_raw" not in params
+
+    def test_ablate_rejects_ablation_flag(self, toy_dataset, capsys):
+        # ablate runs every preset; a preset flag would be silently ignored
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ablate", "--data", str(toy_dataset), *TRAIN_FAST,
+                      "--ablation", "static"])
+        assert exc.value.code == cli.EXIT_USAGE
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(cli.UsageError):
@@ -239,8 +258,14 @@ class TestRunConfig:
         (["--d-k", "0"], None, cli.EXIT_USAGE),
         (["--lr", "-1"], None, cli.EXIT_USAGE),
         ([], "d_ff = 64\n", cli.EXIT_USAGE),  # derived from d_model, not a key
+        ([], "cab = Ture\n", cli.EXIT_USAGE),
+        (["--model", "nonstationary", "--temporal", "self"], None, cli.EXIT_USAGE),
+        (["--model", "transformer", "--temporal", "destat"], None, cli.EXIT_USAGE),
+        (["--model", "nonstationary", "--temporal", "destat"], None, 0),
     ], ids=["m>h", "non-numeric", "beta_init", "beta_init-pure", "lambda_init",
-            "tau_init", "temporal", "epochs", "batch", "d_k", "lr", "d_ff"])
+            "tau_init", "temporal", "epochs", "batch", "d_k", "lr", "d_ff",
+            "bool", "nonstationary-self", "transformer-destat",
+            "nonstationary-destat"])
     def test_config_errors_exit_usage(self, toy_dataset, tmp_path, capsys,
                                       flags, file_text, code):
         config = []

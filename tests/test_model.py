@@ -279,3 +279,15 @@ class TestCheckpoint:
         path.write_text(M.CHECKPOINT_TAG + "\nembed.w 2 2 2\n1.0,2.0,3.0\n")
         with pytest.raises(M.CheckpointError, match="expected 4 values"):
             M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("entry, line", [
+        ("embed.w two 2 2\n1.0,2.0,3.0,4.0\n", "line 2"),
+        ("embed.w 2 2 x\n1.0,2.0,3.0,4.0\n", "line 2"),
+        ("embed.w 2 -2 -2\n1.0,2.0,3.0,4.0\n", "line 2"),
+        ("embed.w 2 2 2\n1.0,2.0,oops,4.0\n", "line 3"),
+    ], ids=["ndim", "dim", "negative-dim", "value"])
+    def test_malformed_entry_names_line(self, tmp_path, entry, line):
+        path = tmp_path / "bad.ckpt"
+        path.write_text(M.CHECKPOINT_TAG + "\n" + entry)
+        with pytest.raises(M.CheckpointError, match=line):
+            M.load_checkpoint(path)

@@ -15,7 +15,7 @@ from lagattn.synthdata import (
     to_training_sample,
     write_dataset,
 )
-from lagattn.xcorr import score_lags, xcorr_all_lags_naive
+from lagattn.xcorr import xcorr_all_lags_naive
 
 
 class TestGeneration:
@@ -161,6 +161,22 @@ class TestFileFormat:
         path = tmp_path / "bad.train"
         path.write_text("lagattn-dataset v1\nT x d 3 task imputation samples 1\n")
         with pytest.raises(DatasetParseError, match=":2:"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda lines: lines[:3] + ["0 1 x 0.9"] + lines[4:], ":4: planted lag"),
+        (lambda lines: lines[:3], ":3: unexpected end of file in planted lags"),
+        (lambda lines: lines[:2] + [lines[2].replace("label -", "label x")]
+         + lines[3:], ":3: .*label"),
+    ], ids=["planted-non-numeric", "planted-truncated", "label"])
+    def test_corrupt_sample_names_position(self, tmp_path, corrupt, match):
+        path = tmp_path / "bad.train"
+        write_dataset(path, self._dataset(), task="imputation")
+        lines = path.read_text().splitlines()
+        assert lines[2].split()[4:6] == ["label", "-"]    # sample 0's header
+        assert lines[3].split()[:3] == ["0", "1", "3"]    # and its planted lag
+        path.write_text("\n".join(corrupt(lines)) + "\n")
+        with pytest.raises(DatasetParseError, match=match):
             read_dataset(path)
 
     def test_truncated_sample(self, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from lagattn.numerics import DegenerateSeriesError, ParameterError, ShapeError, roll
 from lagattn.xcorr import (
+    lag_mass,
     score_lags,
     select_lags,
     topk_count,
@@ -54,26 +55,21 @@ class TestFft:
     @pytest.mark.parametrize("t", [8, 16, 31, 96])
     @pytest.mark.parametrize("d", [1, 3, 8])
     def test_stack_matches_naive(self, t, d):
+        """The streamed FFT mass equals lag_mass of the naive stack."""
         q, k = rand((t, d), t * 100 + d), rand((t, d), t * 100 + d + 1)
-        _, _, stack = xcorr_all_lags_fft(q, k, return_stack=True)
-        assert np.abs(stack - xcorr_all_lags_naive(q, k)).max() < 1e-9
-
-    def test_streaming_scores_match_stack(self):
-        q, k = rand((24, 5), 7), rand((24, 5), 8)
-        d1, n1, _ = xcorr_all_lags_fft(q, k)
-        d2, n2, _ = xcorr_all_lags_fft(q, k, return_stack=True)
-        assert np.allclose(d1, d2, atol=1e-12)
-        assert np.allclose(n1, n2, atol=1e-12)
+        for fft, naive in zip(xcorr_all_lags_fft(q, k),
+                              lag_mass(xcorr_all_lags_naive(q, k))):
+            assert np.abs(fft - naive).max() < 1e-9
 
     def test_sinusoid_diag_max_at_zero(self):
         t = 32
         s = np.sin(2 * np.pi * np.arange(t) / t)[:, None]
-        diag, _, _ = xcorr_all_lags_fft(s, s)
+        diag, _ = xcorr_all_lags_fft(s, s)
         naive = xcorr_all_lags_naive(s, s)
         assert np.argmax(diag) == np.argmax(np.abs(naive[:, 0, 0])) == 0
 
     def test_zero_query(self):
-        diag, nondiag, _ = xcorr_all_lags_fft(np.zeros((10, 3)), rand((10, 3), 9))
+        diag, nondiag = xcorr_all_lags_fft(np.zeros((10, 3)), rand((10, 3), 9))
         assert np.all(diag == 0) and np.all(nondiag == 0)
 
     def test_degenerate_length(self):
@@ -84,26 +80,25 @@ class TestFft:
 class TestScoreLags:
     def test_hand_example(self):
         stack = np.array([[[1.0, -2.0], [3.0, 4.0]]])
-        sv = score_lags(stack, 0.5)
+        sv = score_lags(*lag_mass(stack), 0.5)
         assert sv.diag_scores[0] == 5.0
         assert sv.nondiag_scores[0] == 5.0
         assert sv.combined[0] == 5.0
 
     def test_lambda_endpoints(self):
-        stack = rand((6, 3, 3), 10)
-        assert np.array_equal(score_lags(stack, 1.0).combined,
-                              score_lags(stack, 1.0).diag_scores)
-        assert np.array_equal(score_lags(stack, 0.0).combined,
-                              score_lags(stack, 0.0).nondiag_scores)
+        mass = lag_mass(rand((6, 3, 3), 10))
+        assert np.array_equal(score_lags(*mass, 1.0).combined,
+                              score_lags(*mass, 1.0).diag_scores)
+        assert np.array_equal(score_lags(*mass, 0.0).combined,
+                              score_lags(*mass, 0.0).nondiag_scores)
 
     def test_lambda_out_of_range(self):
         with pytest.raises(ParameterError):
-            score_lags(rand((4, 2, 2)), 1.5)
+            score_lags(*lag_mass(rand((4, 2, 2))), 1.5)
 
     def test_convex_combination_exact(self):
-        stack = rand((5, 4, 4), 11)
         lam = 0.37
-        sv = score_lags(stack, lam)
+        sv = score_lags(*lag_mass(rand((5, 4, 4), 11)), lam)
         assert np.allclose(sv.combined,
                            lam * sv.diag_scores + (1 - lam) * sv.nondiag_scores,
                            atol=0)
@@ -112,7 +107,7 @@ class TestScoreLags:
 class TestTopkLags:
     def _scores(self, combined):
         combined = np.asarray(combined, dtype=float)
-        return score_lags((combined, np.zeros_like(combined)), 1.0)
+        return score_lags(combined, np.zeros_like(combined), 1.0)
 
     def test_k_formula(self):
         assert topk_count(1, 96) == 5
@@ -128,7 +123,7 @@ class TestTopkLags:
 
     def test_tie_break_small_lag(self):
         sel = topk_lags(self._scores(np.ones(8)), 1, 8)
-        assert sel.k == 3
+        assert len(sel.lags) == 3
         assert sel.lags == [1, 2, 3]
 
     def test_lag_zero_excluded(self):
@@ -148,15 +143,15 @@ class TestProperties:
     def test_permutation_equivariance(self):
         q, k = rand((20, 6), 13), rand((20, 6), 14)
         perm = np.random.default_rng(15).permutation(6)
-        d1, n1, _ = xcorr_all_lags_fft(q, k)
-        d2, n2, _ = xcorr_all_lags_fft(q[:, perm], k[:, perm])
+        d1, n1 = xcorr_all_lags_fft(q, k)
+        d2, n2 = xcorr_all_lags_fft(q[:, perm], k[:, perm])
         assert np.allclose(d1, d2, atol=1e-12)
         assert np.allclose(n1, n2, atol=1e-12)
 
     def test_sign_invariance(self):
         q, k = rand((15, 4), 16), rand((15, 4), 17)
-        d1, n1, _ = xcorr_all_lags_fft(q, k)
-        d2, n2, _ = xcorr_all_lags_fft(-q, -k)
+        d1, n1 = xcorr_all_lags_fft(q, k)
+        d2, n2 = xcorr_all_lags_fft(-q, -k)
         assert np.allclose(d1, d2, atol=1e-12)
         assert np.allclose(n1, n2, atol=1e-12)
 
@@ -169,7 +164,7 @@ class TestProperties:
             q[:, 1] = np.roll(k[:, 0], shift)
             q /= np.linalg.norm(q, axis=0)
             k /= np.linalg.norm(k, axis=0)
-            sv = score_lags(xcorr_all_lags_naive(q, k), 0.0)
+            sv = score_lags(*lag_mass(xcorr_all_lags_naive(q, k)), 0.0)
             assert int(np.argmax(sv.combined[1:])) + 1 == shift
 
     def test_select_lags_fft_naive_agree(self):
