@@ -9,6 +9,7 @@ a step: gradients flow through the recomputed per-lag matrices only.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,8 +131,18 @@ def destationary_attention(q, k, v, xi, delta):
 # correlated attention (CAB)
 
 
+# What correlated_attention_bwd needs from the forward pass. all_lags is
+# [0, l_1..l_k]: lag 0 is the instantaneous term. a and s are the (k+1)-stacks
+# of scores roll(K_hat, l)^T Q_hat and of their column softmaxes at tau. The
+# gathered keys and values are not kept: backward gathers them again.
+CabCache = namedtuple("CabCache", "q k v q_hat k_hat raw lam beta tau all_lags "
+                                  "weights omega a s scores selection")
+
+
 def correlated_attention_fwd(q, k, v, raw: dict, opts: CabOptions = CabOptions()):
-    """``raw`` holds the head's scalars keyed like ``CAB_RAW``."""
+    """``raw`` holds the head's scalars keyed like ``CAB_RAW``. The k + 1 terms
+    share one gather of K_hat and V over ``all_lags``, weighted by
+    ``[1 - beta, beta * w_1..w_k]``."""
     q, k, v = as_matrix(q), as_matrix(k), as_matrix(v)
     if not (q.shape == k.shape == v.shape):
         raise ShapeError(f"CAB needs equal shapes, got q {q.shape}, k {k.shape}, v {v.shape}")
@@ -145,88 +156,60 @@ def correlated_attention_fwd(q, k, v, raw: dict, opts: CabOptions = CabOptions()
     q_hat = l2_normalize_cols(q)
     k_hat = l2_normalize_cols(k)
 
+    selection, scores, lags = None, None, []
     if opts.filtering:
         selection, scores = xcorr.select_lags(q_hat, k_hat, lam, opts.c,
                                               use_fft=opts.use_fft)
         lags = selection.lags
-    else:
-        selection, scores, lags = None, None, []
+    all_lags = np.array([0, *lags])
 
+    omega, weights = None, np.ones(len(lags))
     if opts.soft and lags:
-        comb = np.array([scores.combined[l] for l in lags])
-        shifted = comb - comb.max()
-        omega = np.exp(shifted)
-        omega /= omega.sum()
+        omega = softmax_cols(scores.combined[all_lags[1:], None], 1.0)[:, 0]
         weights = len(lags) * omega
-    else:
-        omega = None
-        weights = np.ones(len(lags))
 
-    a0 = k_hat.T @ q_hat
-    s0 = softmax_cols(a0, tau)
-    inst = v @ s0
-
-    lag_terms = []
-    lagged_sum = np.zeros_like(inst)
-    for w, l in zip(weights, lags):
-        a_l = roll(k_hat, l).T @ q_hat
-        s_l = softmax_cols(a_l, tau)
-        term = roll(v, l) @ s_l
-        lag_terms.append((l, a_l, s_l, term))
-        lagged_sum += w * term
-
-    out = (1.0 - beta) * inst + beta * lagged_sum
-    cache = (q, k, v, q_hat, k_hat, raw, lam, beta, tau,
-             a0, s0, inst, lag_terms, weights, omega, scores, lagged_sum, selection)
-    return out, cache
+    coefs = np.concatenate([[1.0 - beta], beta * weights])
+    a = roll(k_hat, all_lags).transpose(0, 2, 1) @ q_hat
+    s = softmax_cols(a, tau)
+    out = np.einsum("l,ltd->td", coefs, roll(v, all_lags) @ s)
+    return out, CabCache(q, k, v, q_hat, k_hat, raw, lam, beta, tau, all_lags,
+                         weights, omega, a, s, scores, selection)
 
 
 def correlated_attention_bwd(cache, g):
     """Returns (dq, dk, dv, draw), ``draw`` keyed like ``CAB_RAW``."""
-    (q, k, v, q_hat, k_hat, raw, lam, beta, tau,
-     a0, s0, inst, lag_terms, weights, omega, scores, lagged_sum, _sel) = cache
+    c = cache
+    coefs = np.concatenate([[1.0 - c.beta], c.beta * c.weights])[:, None, None]
+    # <g, term_l> for term_l = roll(V, l) S_l, read off roll(V, l)^T g
+    vtg = roll(c.v, c.all_lags).transpose(0, 2, 1) @ g
+    g_terms = (vtg * c.s).sum(axis=(1, 2))
+    da, dtau = softmax_cols_adjoint(coefs * vtg, c.s, c.a, c.tau)
+    # row-major copies of the transposes: numpy's stacked matmul runs at a
+    # fraction of BLAS speed on a transposed right operand
+    s_t, da_t = (np.ascontiguousarray(x.transpose(0, 2, 1)) for x in (c.s, da))
+    dv = roll_adjoint(coefs * (g @ s_t), c.all_lags)
+    dq_hat = (roll(c.k_hat, c.all_lags) @ da).sum(axis=0)
+    dk_hat = roll_adjoint(c.q_hat @ da_t, c.all_lags)
 
-    dv = np.zeros_like(v)
-    dq_hat = np.zeros_like(q_hat)
-    dk_hat = np.zeros_like(k_hat)
-    dtau = 0.0
-
-    dbeta = float((g * (lagged_sum - inst)).sum())
-
-    def backprop_term(l, a_l, s_l, dterm):
-        nonlocal dtau
-        v_l = roll(v, l)
-        dv[...] += roll_adjoint(dterm @ s_l.T, l)
-        ds = v_l.T @ dterm
-        da, dt = softmax_cols_adjoint(ds, s_l, a_l, tau)
-        dtau += dt
-        dq_hat[...] += roll(k_hat, l) @ da
-        dk_hat[...] += roll_adjoint(q_hat @ da.T, l)
-
-    backprop_term(0, a0, s0, (1.0 - beta) * g)
-
+    # out = (1 - beta) term_0 + beta * sum_l w_l term_l
+    dbeta = float(g_terms[1:] @ c.weights - g_terms[0])
     dlam = 0.0
-    if lag_terms:
-        if omega is not None:
-            # soft-score mode: weights depend on lambda via the combined
-            # scores of the selected lags (score stats held constant w.r.t.
-            # q, k, consistent with frozen selection)
-            domega = np.array([len(lag_terms) * beta * float((g * term).sum())
-                               for (_, _, _, term) in lag_terms])
-            dcomb = omega * (domega - float((omega * domega).sum()))
-            dd = np.array([scores.diag_scores[l] - scores.nondiag_scores[l]
-                           for (l, _, _, _) in lag_terms])
-            dlam = float((dcomb * dd).sum())
-        for w, (l, a_l, s_l, term) in zip(weights, lag_terms):
-            backprop_term(l, a_l, s_l, beta * w * g)
+    if c.omega is not None:
+        # soft-score mode: weights depend on lambda via the combined scores of
+        # the selected lags (score stats held constant w.r.t. q, k, consistent
+        # with frozen selection)
+        lags = c.all_lags[1:]
+        domega = len(lags) * c.beta * g_terms[1:]
+        dcomb = c.omega * (domega - float(c.omega @ domega))
+        dlam = float(dcomb @ (c.scores.diag_scores[lags] - c.scores.nondiag_scores[lags]))
 
-    dq = l2_normalize_cols_adjoint(dq_hat, q)
-    dk = l2_normalize_cols_adjoint(dk_hat, k)
+    dq = l2_normalize_cols_adjoint(dq_hat, c.q)
+    dk = l2_normalize_cols_adjoint(dk_hat, c.k)
 
     # chain to the raws; beta pinned to 0 (no filtering) has slope 0
-    draw = {"beta_raw": dbeta * (beta * (1.0 - beta)),
-            "tau_raw": dtau * float(sigmoid(raw["tau_raw"])),
-            "lambda_raw": dlam * (lam * (1.0 - lam))}
+    draw = {"beta_raw": dbeta * (c.beta * (1.0 - c.beta)),
+            "tau_raw": dtau * float(sigmoid(c.raw["tau_raw"])),
+            "lambda_raw": dlam * (c.lam * (1.0 - c.lam))}
     return dq, dk, dv, draw
 
 

@@ -169,6 +169,10 @@ class Data:
 
 def load_data(prefix: str) -> Data:
     splits = [S.read_dataset(f"{prefix}.{name}") for name in ("train", "val", "test")]
+    for name, (samples, _) in zip(("train", "val", "test"), splits):
+        if not samples or samples[0].values.shape[0] < 2:
+            raise S.DatasetParseError(f"{prefix}.{name}: the {name} split needs at "
+                                      "least one sample of length T >= 2")
     task = splits[-1][1]
     train, val, test = ([S.to_training_sample(s, task) for s in samples]
                         for samples, _ in splits)
@@ -190,6 +194,8 @@ def emit(record: dict, fh=None) -> None:
 
 
 def cmd_gen_data(args) -> int:
+    if args.t < 2:
+        raise UsageError(f"--t {args.t}: series need T >= 2")
     spec = S.DatasetSpec(
         task=args.task, t=args.t, d=args.d, n_samples=args.samples,
         mask_ratio=args.mask_ratio, planted_lags=parse_lag_spec(args.lags),
@@ -200,6 +206,9 @@ def cmd_gen_data(args) -> int:
         samples = [S.apply_mask(s, args.mask_ratio, seed=args.seed * 100003 + i)
                    for i, s in enumerate(samples)]
     train, val, test = S.split_dataset(samples, spec.splits)
+    if not (train and val and test):
+        raise UsageError(f"--samples {args.samples} leaves a split empty "
+                         f"({len(train)}/{len(val)}/{len(test)} train/val/test)")
     if args.task == "anomaly":
         test = [S.inject_anomalies(s, args.anomaly_count, args.anomaly_magnitude,
                                    seed=args.seed * 100003 + i)

@@ -531,11 +531,17 @@ def train_model(train_samples, val_samples, params: dict, cfg: RunConfig,
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(train_samples))
         train_loss, nb = 0.0, 0
-        for start in range(0, len(order), batch_size):
-            batch = [train_samples[j] for j in order[start:start + batch_size]]
-            train_loss += train_step(batch, params, cfg, opt)
-            nb += 1
-        val_loss = evaluate_loss(val_samples, params, cfg)
+        # a scalar driven out of its range (say tau to 0 by a huge step) makes
+        # the next forward raise ParameterError: abort the run as numerical
+        try:
+            for start in range(0, len(order), batch_size):
+                batch = [train_samples[j] for j in order[start:start + batch_size]]
+                train_loss += train_step(batch, params, cfg, opt)
+                nb += 1
+            val_loss = evaluate_loss(val_samples, params, cfg)
+        except ParameterError as exc:
+            where = f"batch {nb}" if nb * batch_size < len(order) else "validation"
+            raise NumericalFailure(f"epoch {epoch}, {where}: {exc}") from exc
         records.append({"epoch": epoch, "train_loss": train_loss / max(nb, 1),
                         "val_loss": val_loss})
         if val_loss < best_val:

@@ -1,9 +1,11 @@
 """Dense-matrix kernels with hand-derived adjoints and a finite-difference checker.
 
 Everything here operates on 2-D float64 numpy arrays in time-major layout
-(T rows, d columns). Each forward op has a matching ``*_adjoint`` that maps
-an output cotangent back to input cotangents; the op set is small and fixed,
-so no autodiff tape is needed.
+(T rows, d columns). ``roll`` given an array of lags returns the stack of
+shifted copies, and the column softmax and its adjoint act on each matrix of
+such a stack (they reduce over axis -2). Each forward op has a matching
+``*_adjoint`` that maps an output cotangent back to input cotangents; the op
+set is small and fixed, so no autodiff tape is needed.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ class DegenerateSeriesError(ValueError):
     """Series length too short for the requested operation."""
 
 
-def as_matrix(a) -> np.ndarray:
+def as_matrix(a, stack: bool = False) -> np.ndarray:
+    """``a`` as a float64 2-D matrix (``stack``: or a 3-D stack of them)."""
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+    if a.ndim not in ((2, 3) if stack else (2,)) or 0 in a.shape:
         raise ShapeError(f"expected a 2-D matrix with positive dims, got shape {a.shape}")
     return a
 
@@ -48,18 +51,18 @@ def matmul_adjoint(g: np.ndarray, a: np.ndarray, b: np.ndarray):
 
 def softmax_cols(a: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Column-stochastic softmax of a/temperature with max-subtraction."""
-    a = as_matrix(a)
+    a = as_matrix(a, stack=True)
     if not temperature > 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
     z = a / temperature
-    z = z - z.max(axis=0, keepdims=True)
+    z = z - z.max(axis=-2, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=0, keepdims=True)
+    return e / e.sum(axis=-2, keepdims=True)
 
 def softmax_cols_adjoint(g: np.ndarray, out: np.ndarray, a: np.ndarray, temperature: float):
     """Returns (dA, dtemperature) given cotangent g and the forward output."""
     # dZ for Z = A/temperature, column softmax
-    dz = out * (g - (out * g).sum(axis=0, keepdims=True))
+    dz = out * (g - (out * g).sum(axis=-2, keepdims=True))
     da = dz / temperature
     dtemp = -float((dz * a).sum()) / temperature**2
     return da, dtemp
@@ -85,18 +88,25 @@ def l2_normalize_cols_adjoint(g: np.ndarray, a: np.ndarray, epsilon: float = EPS
     return da
 
 
-def roll(a: np.ndarray, lag: int) -> np.ndarray:
-    """Circular vertical shift: out(t, j) = a((t - lag) mod T, j)."""
+def roll(a: np.ndarray, lag) -> np.ndarray:
+    """Circular vertical shift: out(t, j) = a((t - lag) mod T, j). An array
+    of n lags gives the n x T x d stack of shifts, one gather for all."""
     a = as_matrix(a)
     t = a.shape[0]
-    if not 0 <= lag < t:
+    lag = np.asarray(lag)
+    if lag.min() < 0 or lag.max() >= t:
         raise ParameterError(f"lag {lag} out of range [0, {t - 1}]")
-    return np.roll(a, lag, axis=0)
+    return np.take(a, (np.arange(t) - lag[..., None]) % t, axis=0)
 
 
-def roll_adjoint(g: np.ndarray, lag: int) -> np.ndarray:
-    t = g.shape[0]
-    return np.roll(g, (t - lag) % t, axis=0)
+def roll_adjoint(g: np.ndarray, lag) -> np.ndarray:
+    """Adjoint of ``roll``: shift back by ``lag``. For an array of lags ``g``
+    is the stack; each matrix is shifted back by its own lag, then summed."""
+    lags = np.atleast_1d(lag)
+    t = g.shape[-2]
+    # one gather from the flat stack, where row s of matrix i is row i * T + s
+    rows = (np.arange(t) + lags[:, None]) % t + t * np.arange(len(lags))[:, None]
+    return np.take(g.reshape(-1, g.shape[-1]), rows, axis=0).sum(axis=0)
 
 
 def sigmoid(x):

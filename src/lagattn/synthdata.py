@@ -273,6 +273,8 @@ def read_dataset(path) -> tuple:
                     row = [cast(v) for v in lines[ln].split(",")]
                 except ValueError:
                     fail(ln, f"non-numeric value in {what}")
+                if not all(map(math.isfinite, row)):
+                    fail(ln, f"non-finite value in {what}")
                 if len(row) != d:
                     fail(ln, f"{what} row has {len(row)} values, expected {d}")
                 block.append(row)

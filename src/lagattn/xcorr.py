@@ -111,8 +111,9 @@ def topk_lags(scores: LagScoreVector, c: int, t: int) -> LagSelection:
         raise DegenerateSeriesError(f"need T >= 2, got {t}")
     if c < 1:
         raise ParameterError(f"c must be a positive integer, got {c}")
-    candidates = sorted(range(1, t), key=lambda l: (-scores.combined[l], l))
-    return LagSelection(lags=candidates[:topk_count(c, t)])
+    # a stable sort keeps tied lags in ascending order
+    order = np.argsort(-scores.combined[1:t], kind="stable")
+    return LagSelection(lags=(order[:topk_count(c, t)] + 1).tolist())
 
 
 def select_lags(q_hat: np.ndarray, k_hat: np.ndarray, lam: float, c: int,

@@ -249,7 +249,7 @@ def test_c7_ablation_harness(report, tmp_path, capsys):
     detail = []
     pure = cli.apply_ablation(cli.RunConfig(ablation="pure"))
     mix, cab_caches = block0_attention(pure)
-    betas = [c[7] for c in cab_caches]          # beta as the CAB forward used it
+    betas = [c.beta for c in cab_caches]        # beta as the CAB forward used it
     if not (pure.m == 0 and not mix.cab.filtering
             and len(betas) == pure.h and all(b == 0.0 for b in betas)):
         ok, detail = False, detail + ["pure"]

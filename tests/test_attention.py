@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lagattn import xcorr
 from lagattn.attention import (
     CAB_RAW,
     CabOptions,
@@ -24,7 +25,11 @@ from lagattn.numerics import (
     ShapeError,
     check_gradient,
     l2_normalize_cols,
+    l2_normalize_cols_adjoint,
+    roll,
+    sigmoid,
     softmax_cols,
+    softmax_cols_adjoint,
     softplus,
     zero_grads,
 )
@@ -51,6 +56,69 @@ def reference_self_attention(q, k, v):
         for j in range(t):
             out[i] += w[j] * v[j]
     return out
+
+
+def loop_cab(q, k, v, raw, opts, g):
+    """CAB forward and backward written term by term: the instantaneous term,
+    then one roll / matmul / softmax round per selected lag, and the same
+    rounds again in reverse. Returns (out, dq, dk, dv, draw)."""
+    lam = float(sigmoid(raw["lambda_raw"]))
+    beta = float(sigmoid(raw["beta_raw"])) if opts.filtering else 0.0
+    tau = float(softplus(raw["tau_raw"]))
+    q_hat, k_hat = l2_normalize_cols(q), l2_normalize_cols(k)
+    lags, scores = [], None
+    if opts.filtering:
+        selection, scores = xcorr.select_lags(q_hat, k_hat, lam, opts.c,
+                                              use_fft=opts.use_fft)
+        lags = list(selection.lags)
+    weights, omega = np.ones(len(lags)), None
+    if opts.soft and lags:
+        comb = np.array([scores.combined[l] for l in lags])
+        omega = np.exp(comb - comb.max())
+        omega /= omega.sum()
+        weights = len(lags) * omega
+
+    a0 = k_hat.T @ q_hat
+    s0 = softmax_cols(a0, tau)
+    inst = v @ s0
+    lag_terms = []
+    lagged_sum = np.zeros_like(inst)
+    for w, l in zip(weights, lags):
+        a_l = np.roll(k_hat, l, axis=0).T @ q_hat
+        s_l = softmax_cols(a_l, tau)
+        term = np.roll(v, l, axis=0) @ s_l
+        lag_terms.append((l, a_l, s_l, term))
+        lagged_sum += w * term
+    out = (1.0 - beta) * inst + beta * lagged_sum
+
+    dv, dq_hat, dk_hat = np.zeros_like(v), np.zeros_like(q_hat), np.zeros_like(k_hat)
+    dtau = 0.0
+    dbeta = float((g * (lagged_sum - inst)).sum())
+
+    def backprop_term(l, a_l, s_l, dterm):
+        nonlocal dtau
+        dv[...] += np.roll(dterm @ s_l.T, -l, axis=0)
+        da, dt = softmax_cols_adjoint(np.roll(v, l, axis=0).T @ dterm, s_l, a_l, tau)
+        dtau += dt
+        dq_hat[...] += np.roll(k_hat, l, axis=0) @ da
+        dk_hat[...] += np.roll(q_hat @ da.T, -l, axis=0)
+
+    backprop_term(0, a0, s0, (1.0 - beta) * g)
+    dlam = 0.0
+    if omega is not None:
+        domega = np.array([len(lags) * beta * float((g * term).sum())
+                           for (_, _, _, term) in lag_terms])
+        dcomb = omega * (domega - float((omega * domega).sum()))
+        dd = np.array([scores.diag_scores[l] - scores.nondiag_scores[l] for l in lags])
+        dlam = float((dcomb * dd).sum())
+    for w, (l, a_l, s_l, _) in zip(weights, lag_terms):
+        backprop_term(l, a_l, s_l, beta * w * g)
+
+    draw = {"beta_raw": dbeta * (beta * (1.0 - beta)),
+            "tau_raw": dtau * float(sigmoid(raw["tau_raw"])),
+            "lambda_raw": dlam * (lam * (1.0 - lam))}
+    return (out, l2_normalize_cols_adjoint(dq_hat, q),
+            l2_normalize_cols_adjoint(dk_hat, k), dv, draw)
 
 
 class TestSelfAttention:
@@ -136,12 +204,12 @@ class TestCorrelatedAttention:
         q, k = rand((12, 3), 27), rand((12, 3), 28)
         v = np.random.default_rng(29).uniform(-2.0, 5.0, size=(12, 3))
         out, cache = correlated_attention_fwd(q, k, v, with_beta(1.3))
-        kk, beta = len(cache[12]), cache[7]
+        kk, beta = len(cache.all_lags) - 1, cache.beta
         bound = (1.0 - beta) + beta * kk
         assert out.min() >= -2.0 * bound - 1e-12
         assert out.max() <= 5.0 * bound + 1e-12
         # and each individual term is itself inside the range
-        for (_, _, _, term) in cache[12]:
+        for term in roll(v, cache.all_lags[1:]) @ cache.s[1:]:
             assert term.min() >= -2.0 - 1e-12 and term.max() <= 5.0 + 1e-12
 
     def test_beta_endpoint_interpolation(self):
@@ -152,9 +220,8 @@ class TestCorrelatedAttention:
         assert np.allclose(inst, v @ softmax_cols(kh.T @ qh, 1.0), atol=1e-15)
         lagged = correlated_attention(q, k, v, with_beta(big))
         out_mid, cache = correlated_attention_fwd(q, k, v, with_beta(0.0))
-        lag_terms = cache[12]
-        assert np.allclose(lagged, sum(term for (_, _, _, term) in lag_terms),
-                           atol=1e-12)
+        lag_terms = roll(v, cache.all_lags[1:]) @ cache.s[1:]
+        assert np.allclose(lagged, lag_terms.sum(axis=0), atol=1e-12)
 
     def test_temperature_sharpens_argmax(self):
         a = rand((5, 5), 33)
@@ -168,7 +235,7 @@ class TestCorrelatedAttention:
         q, k, v = rand((20, 4), 34), rand((20, 4), 35), rand((20, 4), 36)
         out1, cache1 = correlated_attention_fwd(q, k, v, CAB_RAW)
         out2, cache2 = correlated_attention_fwd(7.5 * q, 7.5 * k, v, CAB_RAW)
-        assert cache1[17].lags == cache2[17].lags
+        assert cache1.selection.lags == cache2.selection.lags
         assert np.allclose(out1, out2, atol=1e-12)
 
     def test_degenerate_length(self):
@@ -178,6 +245,27 @@ class TestCorrelatedAttention:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             correlated_attention(rand((8, 2)), rand((8, 2)), rand((8, 3)), CAB_RAW)
+
+
+class TestLagStackMatchesLoop:
+    """The one-gather CAB against the term-by-term loop it replaced."""
+
+    @pytest.mark.parametrize("t", [2, 3, 17, 96, 512])
+    @pytest.mark.parametrize("opts", [
+        CabOptions(), CabOptions(c=2, soft=True), NO_FILTERING,
+        CabOptions(use_fft=False), CabOptions(c=3),
+    ], ids=["default", "soft", "no-filtering", "naive", "c3"])
+    def test_forward_and_gradients(self, t, opts):
+        rng = np.random.default_rng(t)
+        q, k, v, g = (rng.normal(size=(t, 4)) for _ in range(4))
+        raw = {"beta_raw": 0.4, "tau_raw": -0.3, "lambda_raw": 0.7}
+        out, cache = correlated_attention_fwd(q, k, v, raw, opts)
+        got = (out, *correlated_attention_bwd(cache, g))
+        want = loop_cab(q, k, v, raw, opts, g)
+        for x, y in zip(got[:4], want[:4]):
+            assert np.abs(x - y).max() <= 1e-12
+        for name in CAB_RAW:
+            assert abs(got[4][name] - want[4][name]) <= 1e-12, name
 
 
 class TestCorrelatedAttentionGradients:

@@ -1,11 +1,13 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from lagattn import cli
 from lagattn import model as M
+from lagattn import synthdata as S
 from lagattn.synthdata import read_dataset
 
 
@@ -144,6 +146,54 @@ class TestTrainEval:
             assert a == b
 
 
+def _empty_val(prefix):
+    S.write_dataset(f"{prefix}.val", [], task="imputation")
+
+
+def _length_one(prefix):
+    for name in ("train", "val", "test"):
+        samples, task = read_dataset(f"{prefix}.{name}")
+        S.write_dataset(f"{prefix}.{name}", [
+            S.SeriesSample(values=s.values[:1], mask=s.mask[:1],
+                           planted_lags=s.planted_lags) for s in samples], task=task)
+
+
+def _nan_value(prefix):
+    path = f"{prefix}.test"
+    lines = open(path).read().splitlines()
+    lines[4] = "nan," + lines[4].split(",", 1)[1]   # sample 0, first value
+    open(path, "w").write("\n".join(lines) + "\n")
+
+
+class TestTooLittleData:
+    """gen-data refuses data that cannot be trained on (exit 2), and train
+    refuses to load it (exit 3)."""
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--t", "1"], cli.EXIT_USAGE),
+        (["--samples", "0"], cli.EXIT_USAGE),
+        (["--samples", "2"], cli.EXIT_USAGE),   # val split empty
+        (["--samples", "3"], cli.EXIT_USAGE),   # test split empty
+        (["--samples", "4"], 0),
+    ], ids=["t1", "samples0", "samples2", "samples3", "samples4"])
+    def test_gen_data(self, tmp_path, capsys, flags, code):
+        out = tmp_path / "tiny"
+        args = gen_args(out, t=24, d=3) + flags
+        assert run_cli(args) == code
+        assert (tmp_path / "tiny.train").exists() == (code == 0)
+
+    @pytest.mark.parametrize("damage, match", [
+        (_empty_val, r"toy\.val: the val split"),
+        (_length_one, r"toy\.train: .*T >= 2"),
+        (_nan_value, r"toy\.test:5: non-finite"),
+    ], ids=["empty-val", "t1", "nan"])
+    def test_train_rejects(self, toy_dataset, capsys, damage, match):
+        damage(toy_dataset)
+        assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST]) \
+            == cli.EXIT_FILE
+        assert re.search(match, capsys.readouterr().err)
+
+
 class TestAblationPresets:
     def _cfg(self, preset):
         cfg = cli.RunConfig(ablation=preset)
@@ -155,7 +205,7 @@ class TestAblationPresets:
         params = M.init_params(cfg, seed=0)
         x = np.random.default_rng(0).normal(size=(8, cfg.d_in))
         _, mix, head_caches, _ = M.model_forward(x, params, cfg)[1][4][0][0]
-        return params, mix.cab, [c[6:8] for h, (_, _, _, c) in
+        return params, mix.cab, [(c.lam, c.beta) for h, (_, _, _, c) in
                                  zip(mix.heads, head_caches) if h.kind == "correlated"]
 
     def test_pure_preset(self):
@@ -262,10 +312,11 @@ class TestRunConfig:
         (["--model", "nonstationary", "--temporal", "self"], None, cli.EXIT_USAGE),
         (["--model", "transformer", "--temporal", "destat"], None, cli.EXIT_USAGE),
         (["--model", "nonstationary", "--temporal", "destat"], None, 0),
+        (["--lr", "1e9"], None, cli.EXIT_NUMERICAL),  # tau collapses to 0
     ], ids=["m>h", "non-numeric", "beta_init", "beta_init-pure", "lambda_init",
             "tau_init", "temporal", "epochs", "batch", "d_k", "lr", "d_ff",
             "bool", "nonstationary-self", "transformer-destat",
-            "nonstationary-destat"])
+            "nonstationary-destat", "lr-huge"])
     def test_config_errors_exit_usage(self, toy_dataset, tmp_path, capsys,
                                       flags, file_text, code):
         config = []
@@ -274,6 +325,13 @@ class TestRunConfig:
             config = ["--config", str(tmp_path / "run.cfg")]
         assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST,
                         *config, *flags]) == code
+
+    def test_numerical_abort_names_epoch_and_batch(self, toy_dataset, capsys):
+        assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST,
+                        "--lr", "1e9"]) == cli.EXIT_NUMERICAL
+        abort = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert abort["event"] == "abort"
+        assert abort["reason"].startswith("epoch 0, batch 1: ")
 
     @pytest.mark.parametrize("flags, file_text, batch", [
         ([], None, 128),

@@ -68,6 +68,12 @@ class TestSoftmaxCols:
         with pytest.raises(ParameterError):
             softmax_cols(rand((2, 2)), 0.0)
 
+    def test_stack_is_each_matrix(self):
+        a = rand((3, 5, 4), 4)
+        out = softmax_cols(a, 0.7)
+        for i in range(3):
+            assert np.array_equal(out[i], softmax_cols(a[i], 0.7))
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_columns_stochastic(self, seed):
@@ -118,6 +124,13 @@ class TestRoll:
         x = rand((8, 2), seed)
         assert np.array_equal(roll(roll(x, a), b), roll(x, (a + b) % 8))
 
+    def test_lag_array_gives_stack(self):
+        x = rand((7, 2), 7)
+        lags = [0, 3, 3, 6]
+        assert np.array_equal(roll(x, lags), np.stack([roll(x, l) for l in lags]))
+        with pytest.raises(ParameterError):
+            roll(x, [0, 7])
+
     def test_bijection(self):
         x = rand((11, 3), 6)
         for lag in range(11):
@@ -147,16 +160,17 @@ class TestAdjoints:
         assert np.allclose(db, self._fd(lambda x: a @ x, b, g), atol=1e-7)
 
     def test_softmax_cols_adjoint(self):
-        a, g = rand((5, 3), 10), rand((5, 3), 11)
-        tau = 0.8
-        out = softmax_cols(a, tau)
-        da, dtau = softmax_cols_adjoint(g, out, a, tau)
-        assert np.allclose(da, self._fd(lambda x: softmax_cols(x, tau), a, g),
-                           atol=1e-7)
-        step = 1e-6
-        fd_tau = (float((softmax_cols(a, tau + step) * g).sum())
-                  - float((softmax_cols(a, tau - step) * g).sum())) / (2 * step)
-        assert abs(dtau - fd_tau) < 1e-7
+        for shape in ((5, 3), (2, 5, 3)):           # a matrix and a stack
+            a, g = rand(shape, 10), rand(shape, 11)
+            tau = 0.8
+            out = softmax_cols(a, tau)
+            da, dtau = softmax_cols_adjoint(g, out, a, tau)
+            assert np.allclose(da, self._fd(lambda x: softmax_cols(x, tau), a, g),
+                               atol=1e-7)
+            step = 1e-6
+            fd_tau = (float((softmax_cols(a, tau + step) * g).sum())
+                      - float((softmax_cols(a, tau - step) * g).sum())) / (2 * step)
+            assert abs(dtau - fd_tau) < 1e-7
 
     def test_l2_normalize_adjoint(self):
         a, g = rand((6, 4), 12), rand((6, 4), 13)
@@ -170,6 +184,15 @@ class TestAdjoints:
             expect = self._fd(lambda x: roll(x, lag), rand((9, 2), 15), g)
             assert np.allclose(roll_adjoint(g, lag), expect, atol=1e-8)
             assert np.array_equal(roll_adjoint(g, lag), roll(g, (9 - lag) % 9))
+
+    def test_stacked_roll_adjoint_sums_inverse_rolls(self):
+        lags = [0, 4, 4, 8]
+        g = rand((4, 9, 2), 16)
+        expect = self._fd(lambda x: roll(x, lags), rand((9, 2), 17), g)
+        assert np.allclose(roll_adjoint(g, lags), expect, atol=1e-8)
+        assert np.allclose(roll_adjoint(g, lags),
+                           sum(roll_adjoint(gi, l) for gi, l in zip(g, lags)),
+                           atol=1e-15)
 
 
 class TestCheckGradient:

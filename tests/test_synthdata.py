@@ -168,7 +168,11 @@ class TestFileFormat:
         (lambda lines: lines[:3], ":3: unexpected end of file in planted lags"),
         (lambda lines: lines[:2] + [lines[2].replace("label -", "label x")]
          + lines[3:], ":3: .*label"),
-    ], ids=["planted-non-numeric", "planted-truncated", "label"])
+        (lambda lines: lines[:4] + ["nan," + lines[4].split(",", 1)[1]] + lines[5:],
+         ":5: non-finite value"),
+        (lambda lines: lines[:5] + ["-inf," + lines[5].split(",", 1)[1]] + lines[6:],
+         ":6: non-finite value"),
+    ], ids=["planted-non-numeric", "planted-truncated", "label", "nan", "inf"])
     def test_corrupt_sample_names_position(self, tmp_path, corrupt, match):
         path = tmp_path / "bad.train"
         write_dataset(path, self._dataset(), task="imputation")

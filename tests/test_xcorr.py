@@ -126,6 +126,15 @@ class TestTopkLags:
         assert len(sel.lags) == 3
         assert sel.lags == [1, 2, 3]
 
+    def test_ties_match_sorted_rule(self):
+        # few distinct values, so most lags tie: best score first, and among
+        # equal scores the smaller lag first
+        combined = np.random.default_rng(16).integers(0, 3, size=97).astype(float)
+        for c in (1, 3, 20):
+            rule = sorted(range(1, 97), key=lambda l: (-combined[l], l))
+            sel = topk_lags(self._scores(combined), c, 97)
+            assert sel.lags == rule[:topk_count(c, 97)]
+
     def test_lag_zero_excluded(self):
         combined = np.zeros(12)
         combined[0] = 100.0
