@@ -18,7 +18,6 @@ from .numerics import (
     Param,
     check_gradient,
     l2_normalize_cols,
-    matmul,
     roll,
     softmax_cols,
 )
@@ -36,7 +35,7 @@ from .xcorr import (
 __all__ = [
     "CAB_RAW", "CabOptions", "Param", "LagScoreVector", "LagSelection",
     "self_attention", "destationary_attention", "correlated_attention",
-    "mixture_of_head", "check_gradient", "matmul", "softmax_cols",
+    "mixture_of_head", "check_gradient", "softmax_cols",
     "l2_normalize_cols", "roll", "lag_mass", "score_lags", "select_lags",
     "topk_lags", "xcorr_all_lags_fft", "xcorr_all_lags_naive",
 ]

@@ -1,5 +1,14 @@
 """The four attention mechanisms: self, de-stationary, correlated, mixture-of-head.
 
+Self, de-stationary and correlated attention act on a head stack: q, k and
+v are H x T x d, and every head runs in the same numpy calls. A 2-D input
+is a stack of one and gives 2-D results. Correlated heads carry their own
+scalars (one array entry per head) and pick their own lags. Mixture-of-head
+runs a block's heads as two stacks: one fused projection x @ [W_q | W_k |
+W_v] for all h heads, then one temporal call on heads [:m] and one
+correlated call on heads [m:]. Its backward splits the fused projection
+gradient back into per-head gradients.
+
 Each mechanism comes as a ``*_fwd`` / ``*_bwd`` pair. Forward returns
 ``(output, cache)``; backward maps the output cotangent to cotangents of
 every input, using only the hand-derived adjoints from ``numerics``.
@@ -18,6 +27,7 @@ from . import xcorr
 from .numerics import (
     DegenerateSeriesError,
     ParameterError,
+    ScalarRangeError,
     ShapeError,
     as_matrix,
     l2_normalize_cols,
@@ -50,77 +60,105 @@ class CabOptions:
 
 
 # ---------------------------------------------------------------------------
-# row softmax (over the time axis) built on the column kernels
+# head stacks
 
 
-def _softmax_rows(a, scale):
-    return softmax_cols(a.T / scale, 1.0).T
+def _heads(q, k, v):
+    """(q, k, v) as H x T x d stacks, and whether they came as matrices."""
+    q, k, v = (as_matrix(a, stack=True) for a in (q, k, v))
+    if not q.ndim == k.ndim == v.ndim == (3 if q.ndim > 2 else 2):
+        raise ShapeError(f"expected matrices or head stacks, got q {q.shape}, "
+                         f"k {k.shape}, v {v.shape}")
+    single = q.ndim == 2
+    return ((q[None], k[None], v[None]) if single else (q, k, v)), single
 
 
-def _softmax_rows_adjoint(g, out, a, scale):
-    da_t, _ = softmax_cols_adjoint(g.T, out.T, a.T / scale, 1.0)
-    return da_t.T / scale
+def _unstack(single, *arrays):
+    """The results of one head without the stack axis, if it came as one."""
+    return tuple(a[0] for a in arrays) if single else arrays
+
+
+def _t(a):
+    """Row-major transpose of each matrix: numpy's stacked matmul runs at a
+    fraction of BLAS speed on a transposed right operand."""
+    return np.ascontiguousarray(a.transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
-# plain scaled dot-product self-attention
+# temporal attention: softmax((xi Q K^T + 1 Delta^T)/sqrt(d_k)) V; self
+# attention skips the scale xi and the shift Delta (xi = None)
+
+
+# What the temporal backward needs: qk is Q K^T / scale (de-stationary
+# attention only, for dxi), attn the row softmaxes and out = attn V.
+DotCache = namedtuple("DotCache", "q k v xi qk attn out scale single")
+
+
+def _dot_attention_fwd(q, k, v, xi, delta):
+    (q, k, v), single = _heads(q, k, v)
+    if q.shape != k.shape or q.shape[:2] != v.shape[:2]:
+        raise ShapeError(f"inconsistent shapes: q {q.shape}, k {k.shape}, v {v.shape}")
+    scale = np.sqrt(q.shape[-1])
+    # few passes, in place, over the H x T x T scores: a fresh array of that
+    # size costs more than the arithmetic on it
+    z, qk = (q / scale) @ _t(k), None
+    if xi is not None:          # keep Q K^T / scale for dxi
+        qk, z = z, xi * z
+        z += delta / scale
+    z -= z.max(axis=-1, keepdims=True)
+    attn = np.exp(z, out=z)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    out = attn @ v
+    return _unstack(single, out)[0], DotCache(q, k, v, xi, qk, attn, out, scale, single)
+
+
+def _dot_attention_bwd(cache, g):
+    """Returns (dq, dk, dv, dscores): dscores is the gradient of the scores
+    xi Q K^T + 1 Delta^T, and dq and dk carry the factor xi."""
+    c = cache
+    g = g[None] if c.single else g
+    dv = c.attn.transpose(0, 2, 1) @ g
+    # softmax adjoint; the row sums of attn * (g V^T) are the rows of g . out
+    g = g / c.scale
+    dscores = g @ _t(c.v)
+    dscores -= (g * c.out).sum(axis=-1, keepdims=True)
+    dscores *= c.attn
+    dq = dscores @ c.k
+    dk = dscores.transpose(0, 2, 1) @ c.q
+    if c.xi is not None:
+        dq *= c.xi
+        dk *= c.xi
+    return (*_unstack(c.single, dq, dk, dv), dscores)
 
 
 def self_attention_fwd(q, k, v):
-    q, k, v = as_matrix(q), as_matrix(k), as_matrix(v)
-    if q.shape != k.shape or q.shape[0] != v.shape[0]:
-        raise ShapeError(f"inconsistent shapes: q {q.shape}, k {k.shape}, v {v.shape}")
-    scale = np.sqrt(q.shape[1])
-    scores = q @ k.T
-    attn = _softmax_rows(scores, scale)
-    out = attn @ v
-    return out, (q, k, v, scores, attn, scale)
+    return _dot_attention_fwd(q, k, v, None, None)
 
 
 def self_attention_bwd(cache, g):
-    q, k, v, scores, attn, scale = cache
-    dattn = g @ v.T
-    dv = attn.T @ g
-    dscores = _softmax_rows_adjoint(dattn, attn, scores, scale)
-    dq = dscores @ k
-    dk = dscores.T @ q
-    return dq, dk, dv
+    return _dot_attention_bwd(cache, g)[:3]
 
 
 def self_attention(q, k, v):
     return self_attention_fwd(q, k, v)[0]
 
 
-# ---------------------------------------------------------------------------
-# de-stationary attention: softmax((xi Q'K'^T + 1 Delta^T)/sqrt(d_k)) V'
-
-
 def destationary_attention_fwd(q, k, v, xi, delta):
-    q, k, v = as_matrix(q), as_matrix(k), as_matrix(v)
+    """``xi`` and ``delta`` (length T) are shared by every head."""
     xi = float(xi)
     if not xi > 0:
-        raise ParameterError(f"xi must be positive, got {xi}")
+        raise ScalarRangeError("xi", None, f"xi must be positive, got {xi}")
     delta = np.asarray(delta, dtype=np.float64).reshape(-1)
-    if delta.shape[0] != k.shape[0]:
-        raise ShapeError(f"delta length {delta.shape[0]} != T {k.shape[0]}")
-    scale = np.sqrt(q.shape[1])
-    qk = q @ k.T
-    scores = xi * qk + delta[None, :]
-    attn = _softmax_rows(scores, scale)
-    out = attn @ v
-    return out, (q, k, v, xi, qk, scores, attn, scale)
+    if delta.shape[0] != np.shape(k)[-2]:
+        raise ShapeError(f"delta length {delta.shape[0]} != T {np.shape(k)[-2]}")
+    return _dot_attention_fwd(q, k, v, xi, delta)
 
 
 def destationary_attention_bwd(cache, g):
-    q, k, v, xi, qk, scores, attn, scale = cache
-    dattn = g @ v.T
-    dv = attn.T @ g
-    dscores = _softmax_rows_adjoint(dattn, attn, scores, scale)
-    dxi = float((dscores * qk).sum())
-    ddelta = dscores.sum(axis=0)
-    dq = xi * dscores @ k
-    dk = xi * dscores.T @ q
-    return dq, dk, dv, dxi, ddelta
+    """Returns (dq, dk, dv, dxi, ddelta), dxi and ddelta summed over heads."""
+    dq, dk, dv, dscores = _dot_attention_bwd(cache, g)
+    dxi = cache.scale * float(np.vdot(dscores, cache.qk))
+    return dq, dk, dv, dxi, dscores.sum(axis=(0, 1))
 
 
 def destationary_attention(q, k, v, xi, delta):
@@ -131,86 +169,101 @@ def destationary_attention(q, k, v, xi, delta):
 # correlated attention (CAB)
 
 
-# What correlated_attention_bwd needs from the forward pass. all_lags is
-# [0, l_1..l_k]: lag 0 is the instantaneous term. a and s are the (k+1)-stacks
-# of scores roll(K_hat, l)^T Q_hat and of their column softmaxes at tau. The
-# gathered keys and values are not kept: backward gathers them again.
-CabCache = namedtuple("CabCache", "q k v q_hat k_hat raw lam beta tau all_lags "
-                                  "weights omega a s scores selection")
+# What correlated_attention_bwd needs from the forward pass, per head of the
+# stack. all_lags is H x (k+1), each row [0, l_1..l_k]: lag 0 is the
+# instantaneous term, weighted by coefs [1 - beta, beta * w_1..w_k]. kg and vg
+# are K_hat and V gathered over all_lags, H x T x (k+1) d; a and s are the
+# H x (k+1) x d x d scores roll(K_hat, l)^T Q_hat and their column softmaxes
+# at tau.
+CabCache = namedtuple("CabCache", "q k v q_hat raw lam beta tau all_lags coefs "
+                                  "weights omega kg vg a s scores selection single")
 
 
 def correlated_attention_fwd(q, k, v, raw: dict, opts: CabOptions = CabOptions()):
-    """``raw`` holds the head's scalars keyed like ``CAB_RAW``. The k + 1 terms
-    share one gather of K_hat and V over ``all_lags``, weighted by
-    ``[1 - beta, beta * w_1..w_k]``."""
-    q, k, v = as_matrix(q), as_matrix(k), as_matrix(v)
+    """``raw`` holds the scalars keyed like ``CAB_RAW``, one value per head
+    (or one for all). Each head's k + 1 terms share one gather of K_hat and
+    V over its lags, and sum in one product."""
+    (q, k, v), single = _heads(q, k, v)
     if not (q.shape == k.shape == v.shape):
         raise ShapeError(f"CAB needs equal shapes, got q {q.shape}, k {k.shape}, v {v.shape}")
-    t = q.shape[0]
+    n, t, d = q.shape
     if t < 2:
         raise DegenerateSeriesError(f"CAB needs T >= 2, got {t}")
-    lam = float(sigmoid(raw["lambda_raw"]))
-    beta = float(sigmoid(raw["beta_raw"])) if opts.filtering else 0.0
-    tau = float(softplus(raw["tau_raw"]))
+    raw = {name: np.full(n, raw[name], dtype=np.float64) for name in CAB_RAW}
+    lam = sigmoid(raw["lambda_raw"])
+    beta = sigmoid(raw["beta_raw"]) if opts.filtering else np.zeros(n)
+    tau = softplus(raw["tau_raw"])
+    if not tau.min() > 0:
+        head = int(np.argmin(tau > 0))
+        raise ScalarRangeError("tau_raw", head,
+                               f"temperature must be positive, got {tau[head]}")
 
     q_hat = l2_normalize_cols(q)
     k_hat = l2_normalize_cols(k)
 
-    selection, scores, lags = None, None, []
+    selection, scores, lags = None, None, np.zeros((n, 0), dtype=int)
     if opts.filtering:
         selection, scores = xcorr.select_lags(q_hat, k_hat, lam, opts.c,
                                               use_fft=opts.use_fft)
-        lags = selection.lags
-    all_lags = np.array([0, *lags])
+        lags = selection.table
+    all_lags = np.concatenate([np.zeros((n, 1), dtype=int), lags], axis=1)
 
-    omega, weights = None, np.ones(len(lags))
-    if opts.soft and lags:
-        omega = softmax_cols(scores.combined[all_lags[1:], None], 1.0)[:, 0]
-        weights = len(lags) * omega
+    omega, weights = None, np.ones(lags.shape)
+    if opts.soft and lags.size:
+        picked = np.take_along_axis(scores.combined, lags, axis=1)
+        omega = softmax_cols(picked[..., None], 1.0)[..., 0]
+        weights = lags.shape[1] * omega
 
-    coefs = np.concatenate([[1.0 - beta], beta * weights])
-    a = roll(k_hat, all_lags).transpose(0, 2, 1) @ q_hat
+    coefs = np.concatenate([1.0 - beta[:, None], beta[:, None] * weights], axis=1)
+    kg, vg = roll(k_hat, all_lags), roll(v, all_lags)
+    a = (kg.transpose(0, 2, 1) @ q_hat).reshape(n, -1, d, d)
     s = softmax_cols(a, tau)
-    out = np.einsum("l,ltd->td", coefs, roll(v, all_lags) @ s)
-    return out, CabCache(q, k, v, q_hat, k_hat, raw, lam, beta, tau, all_lags,
-                         weights, omega, a, s, scores, selection)
+    out = vg @ (coefs[..., None, None] * s).reshape(n, -1, d)
+    return _unstack(single, out)[0], CabCache(
+        q, k, v, q_hat, raw, lam, beta, tau, all_lags, coefs, weights, omega,
+        kg, vg, a, s, scores, selection, single)
 
 
 def correlated_attention_bwd(cache, g):
-    """Returns (dq, dk, dv, draw), ``draw`` keyed like ``CAB_RAW``."""
+    """Returns (dq, dk, dv, draw), ``draw`` keyed like ``CAB_RAW`` with one
+    value per head (a float for a single head)."""
     c = cache
-    coefs = np.concatenate([[1.0 - c.beta], c.beta * c.weights])[:, None, None]
+    g = g[None] if c.single else g
+    n, d = c.q.shape[0], c.q.shape[-1]
+    coefs = c.coefs[..., None, None]
     # <g, term_l> for term_l = roll(V, l) S_l, read off roll(V, l)^T g
-    vtg = roll(c.v, c.all_lags).transpose(0, 2, 1) @ g
-    g_terms = (vtg * c.s).sum(axis=(1, 2))
+    vtg = (c.vg.transpose(0, 2, 1) @ g).reshape(c.s.shape)
+    g_terms = (vtg * c.s).sum(axis=(2, 3))
     da, dtau = softmax_cols_adjoint(coefs * vtg, c.s, c.a, c.tau)
-    # row-major copies of the transposes: numpy's stacked matmul runs at a
-    # fraction of BLAS speed on a transposed right operand
-    s_t, da_t = (np.ascontiguousarray(x.transpose(0, 2, 1)) for x in (c.s, da))
-    dv = roll_adjoint(coefs * (g @ s_t), c.all_lags)
-    dq_hat = (roll(c.k_hat, c.all_lags) @ da).sum(axis=0)
-    dk_hat = roll_adjoint(c.q_hat @ da_t, c.all_lags)
+    da = da.reshape(n, -1, d)
+    dv = roll_adjoint(g @ _t((coefs * c.s).reshape(n, -1, d)), c.all_lags)
+    dq_hat = c.kg @ da
+    dk_hat = roll_adjoint(c.q_hat @ _t(da), c.all_lags)
 
     # out = (1 - beta) term_0 + beta * sum_l w_l term_l
-    dbeta = float(g_terms[1:] @ c.weights - g_terms[0])
-    dlam = 0.0
+    dbeta = (g_terms[:, 1:] * c.weights).sum(axis=1) - g_terms[:, 0]
+    dlam = np.zeros(n)
     if c.omega is not None:
         # soft-score mode: weights depend on lambda via the combined scores of
         # the selected lags (score stats held constant w.r.t. q, k, consistent
         # with frozen selection)
-        lags = c.all_lags[1:]
-        domega = len(lags) * c.beta * g_terms[1:]
-        dcomb = c.omega * (domega - float(c.omega @ domega))
-        dlam = float(dcomb @ (c.scores.diag_scores[lags] - c.scores.nondiag_scores[lags]))
+        lags = c.all_lags[:, 1:]
+        domega = lags.shape[1] * c.beta[:, None] * g_terms[:, 1:]
+        dcomb = c.omega * (domega - (c.omega * domega).sum(axis=1, keepdims=True))
+        spread = (np.take_along_axis(c.scores.diag_scores, lags, axis=1)
+                  - np.take_along_axis(c.scores.nondiag_scores, lags, axis=1))
+        dlam = (dcomb * spread).sum(axis=1)
 
     dq = l2_normalize_cols_adjoint(dq_hat, c.q)
     dk = l2_normalize_cols_adjoint(dk_hat, c.k)
 
     # chain to the raws; beta pinned to 0 (no filtering) has slope 0
     draw = {"beta_raw": dbeta * (c.beta * (1.0 - c.beta)),
-            "tau_raw": dtau * float(sigmoid(c.raw["tau_raw"])),
+            "tau_raw": dtau * sigmoid(c.raw["tau_raw"]),
             "lambda_raw": dlam * (c.lam * (1.0 - c.lam))}
-    return dq, dk, dv, draw
+    if c.single:
+        draw = {name: float(val[0]) for name, val in draw.items()}
+    return (*_unstack(c.single, dq, dk, dv), draw)
 
 
 def correlated_attention(q, k, v, raw: dict, opts: CabOptions = CabOptions()):
@@ -234,7 +287,7 @@ class HeadSpec:
 
 @dataclass
 class MixtureWeights:
-    heads: list
+    heads: list                  # temporal heads first, then correlated ones
     w_o: np.ndarray
     # shared de-stationary scalars, used by "destat" heads only
     xi: float = 1.0
@@ -242,39 +295,61 @@ class MixtureWeights:
     cab: CabOptions = CabOptions()   # shared by every correlated head
 
 
+# What mixture_of_head_bwd needs: the fused projection, the number m of
+# temporal heads and their kind, each stack's cache and the concatenated
+# head outputs.
+MixCache = namedtuple("MixCache", "x mix w_qkv m temporal temporal_cache "
+                                  "cab_cache concat")
+
+
 def _validate_mixture(x, mix: MixtureWeights):
-    d_model = x.shape[1]
+    """Returns (m, temporal kind) of a mixture whose heads [:m] share one
+    temporal kind and whose heads [m:] are correlated."""
+    d_model, d_k = x.shape[1], mix.heads[0].w_q.shape[1]
     for i, h in enumerate(mix.heads):
-        if h.w_q.shape[0] != d_model or h.w_q.shape != h.w_k.shape or h.w_q.shape != h.w_v.shape:
-            raise ShapeError(f"head {i}: projection shapes inconsistent with d_model {d_model}")
+        if not h.w_q.shape == h.w_k.shape == h.w_v.shape == (d_model, d_k):
+            raise ShapeError(f"head {i}: projections must all be {d_model} x {d_k}")
         if h.kind == "correlated" and h.raw is None:
             raise ParameterError(f"head {i} is correlated but has no CAB scalars")
         if h.kind not in ("self", "destat", "correlated"):
             raise ParameterError(f"head {i}: unknown kind {h.kind!r}")
-    d_v = mix.heads[0].w_v.shape[1]
-    if mix.w_o.shape != (len(mix.heads) * d_v, d_model):
+    kinds = [h.kind for h in mix.heads]
+    m = sum(kind != "correlated" for kind in kinds)
+    if len(set(kinds[:m])) > 1 or "correlated" in kinds[:m]:
+        raise ParameterError(f"heads {kinds}: need one temporal kind, then the "
+                             "correlated heads")
+    if mix.w_o.shape != (len(mix.heads) * d_k, d_model):
         raise ShapeError(f"w_o shape {mix.w_o.shape} != "
-                         f"({len(mix.heads) * d_v}, {d_model})")
+                         f"({len(mix.heads) * d_k}, {d_model})")
+    return m, kinds[0] if m else None
 
 
 def mixture_of_head_fwd(x, mix: MixtureWeights):
     x = as_matrix(x)
-    _validate_mixture(x, mix)
-    head_caches = []
-    outputs = []
-    for h in mix.heads:
-        q, k, v = x @ h.w_q, x @ h.w_k, x @ h.w_v
-        if h.kind == "self":
-            out, c = self_attention_fwd(q, k, v)
-        elif h.kind == "destat":
-            out, c = destationary_attention_fwd(q, k, v, mix.xi, mix.delta)
+    m, temporal = _validate_mixture(x, mix)
+    heads = mix.heads
+    t, h, d_k = x.shape[0], len(heads), heads[0].w_q.shape[1]
+    w_qkv = np.concatenate([hd.w_q for hd in heads] + [hd.w_k for hd in heads]
+                           + [hd.w_v for hd in heads], axis=1)
+    # strided H x T x d_k views of the fused projection: a copy into head-major
+    # order would cost more than the products that read them
+    q, k, v = (x @ w_qkv).reshape(t, 3, h, d_k).transpose(1, 2, 0, 3)
+    outs, temporal_cache, cab_cache = [], None, None
+    if m:
+        if temporal == "self":
+            out, temporal_cache = self_attention_fwd(q[:m], k[:m], v[:m])
         else:
-            out, c = correlated_attention_fwd(q, k, v, h.raw, mix.cab)
-        outputs.append(out)
-        head_caches.append((q, k, v, c))
-    concat = np.concatenate(outputs, axis=1)
-    out = concat @ mix.w_o
-    return out, (x, mix, head_caches, concat)
+            out, temporal_cache = destationary_attention_fwd(q[:m], k[:m], v[:m],
+                                                             mix.xi, mix.delta)
+        outs.append(out)
+    if m < h:
+        raw = {name: np.array([hd.raw[name] for hd in heads[m:]], dtype=np.float64)
+               for name in CAB_RAW}
+        out, cab_cache = correlated_attention_fwd(q[m:], k[m:], v[m:], raw, mix.cab)
+        outs.append(out)
+    concat = np.concatenate(outs).transpose(1, 0, 2).reshape(t, h * d_k)
+    return concat @ mix.w_o, MixCache(x, mix, w_qkv, m, temporal, temporal_cache,
+                                      cab_cache, concat)
 
 
 def mixture_of_head_bwd(cache, g):
@@ -283,29 +358,30 @@ def mixture_of_head_bwd(cache, g):
     ``head_grads`` is one dict per head, keyed by the registry suffix of each
     parameter: w_q, w_k, w_v and, for correlated heads, the ``CAB_RAW`` names.
     """
-    x, mix, head_caches, concat = cache
-    dconcat = g @ mix.w_o.T
-    dw_o = concat.T @ g
-    d_v = mix.heads[0].w_v.shape[1]
-
-    dx = np.zeros_like(x)
-    head_grads = []
-    dxi_total, ddelta_total = 0.0, None
-    for i, (h, (q, k, v, c)) in enumerate(zip(mix.heads, head_caches)):
-        gh = dconcat[:, i * d_v:(i + 1) * d_v]
-        grads = {}
-        if h.kind == "self":
-            dq, dk, dv = self_attention_bwd(c, gh)
-        elif h.kind == "destat":
-            dq, dk, dv, dxi, ddelta = destationary_attention_bwd(c, gh)
-            dxi_total += dxi
-            ddelta_total = ddelta if ddelta_total is None else ddelta_total + ddelta
-        else:
-            dq, dk, dv, grads = correlated_attention_bwd(c, gh)
-        grads.update(w_q=x.T @ dq, w_k=x.T @ dk, w_v=x.T @ dv)
-        dx += dq @ h.w_q.T + dk @ h.w_k.T + dv @ h.w_v.T
-        head_grads.append(grads)
-    return dx, head_grads, dw_o, dxi_total, ddelta_total
+    c = cache
+    t, h, m = c.x.shape[0], len(c.mix.heads), c.m
+    dheads = (g @ c.mix.w_o.T).reshape(t, h, -1).transpose(1, 0, 2)
+    # the gradient of the fused projection, written through head-major views
+    dflat = np.empty((t, c.w_qkv.shape[1]))
+    dqkv = dflat.reshape(t, 3, h, -1).transpose(1, 2, 0, 3)
+    head_grads = [{} for _ in range(h)]
+    dxi, ddelta = 0.0, None
+    if m and c.temporal == "self":
+        dqkv[:, :m] = self_attention_bwd(c.temporal_cache, dheads[:m])
+    elif m:
+        dq, dk, dv, dxi, ddelta = destationary_attention_bwd(c.temporal_cache,
+                                                             dheads[:m])
+        dqkv[:, :m] = dq, dk, dv
+    if m < h:
+        dq, dk, dv, draw = correlated_attention_bwd(c.cab_cache, dheads[m:])
+        dqkv[:, m:] = dq, dk, dv
+        for name, grads in draw.items():
+            for i, grad in enumerate(grads, start=m):
+                head_grads[i][name] = grad
+    dw = (c.x.T @ dflat).reshape(c.x.shape[1], 3, h, -1)
+    for i, grads in enumerate(head_grads):
+        grads.update(w_q=dw[:, 0, i], w_k=dw[:, 1, i], w_v=dw[:, 2, i])
+    return dflat @ c.w_qkv.T, head_grads, c.concat.T @ g, dxi, ddelta
 
 
 def mixture_of_head(x, mix: MixtureWeights):

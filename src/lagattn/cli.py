@@ -24,6 +24,7 @@ from . import synthdata as S
 from . import xcorr
 from .attention import CAB_RAW, correlated_attention
 from .model import RunConfig
+from .numerics import ParameterError
 
 EXIT_USAGE = 2
 EXIT_FILE = 3
@@ -173,6 +174,10 @@ def load_data(prefix: str) -> Data:
         if not samples or samples[0].values.shape[0] < 2:
             raise S.DatasetParseError(f"{prefix}.{name}: the {name} split needs at "
                                       "least one sample of length T >= 2")
+        d, d_train = samples[0].values.shape[1], splits[0][0][0].values.shape[1]
+        if d != d_train:
+            raise S.DatasetParseError(f"{prefix}.{name}: the {name} split has d = {d} "
+                                      f"features, the train split {d_train}")
     task = splits[-1][1]
     train, val, test = ([S.to_training_sample(s, task) for s in samples]
                         for samples, _ in splits)
@@ -201,18 +206,23 @@ def cmd_gen_data(args) -> int:
         mask_ratio=args.mask_ratio, planted_lags=parse_lag_spec(args.lags),
         noise=args.noise, seed=args.seed, n_classes=args.classes,
     )
-    samples = S.gen_lagged_series(spec)
-    if args.task == "imputation":
-        samples = [S.apply_mask(s, args.mask_ratio, seed=args.seed * 100003 + i)
-                   for i, s in enumerate(samples)]
-    train, val, test = S.split_dataset(samples, spec.splits)
-    if not (train and val and test):
-        raise UsageError(f"--samples {args.samples} leaves a split empty "
-                         f"({len(train)}/{len(val)}/{len(test)} train/val/test)")
-    if args.task == "anomaly":
-        test = [S.inject_anomalies(s, args.anomaly_count, args.anomaly_magnitude,
-                                   seed=args.seed * 100003 + i)
-                for i, s in enumerate(test)]
+    # synthdata rejects out-of-range flag values (a lag outside [1, T-1], a
+    # mask ratio outside (0, 1), ...): a usage error
+    try:
+        samples = S.gen_lagged_series(spec)
+        if args.task == "imputation":
+            samples = [S.apply_mask(s, args.mask_ratio, seed=args.seed * 100003 + i)
+                       for i, s in enumerate(samples)]
+        train, val, test = S.split_dataset(samples, spec.splits)
+        if not (train and val and test):
+            raise UsageError(f"--samples {args.samples} leaves a split empty "
+                             f"({len(train)}/{len(val)}/{len(test)} train/val/test)")
+        if args.task == "anomaly":
+            test = [S.inject_anomalies(s, args.anomaly_count, args.anomaly_magnitude,
+                                       seed=args.seed * 100003 + i)
+                    for i, s in enumerate(test)]
+    except (S.DatasetSpecError, ParameterError) as exc:
+        raise UsageError(str(exc)) from None
     base = os.path.join(out_dir(), args.out)
     for name, part in (("train", train), ("val", val), ("test", test)):
         S.write_dataset(f"{base}.{name}", part, task=args.task)

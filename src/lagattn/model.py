@@ -3,7 +3,7 @@
 Single-sample forward/backward on time-major float64 matrices; batches are
 loops over samples with averaged gradients. All learnable tensors live in a
 flat registry (name -> Param) so the finite-difference checker and the
-optimizers can treat the whole model uniformly.
+optimizer can treat the whole model uniformly.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .attention import (
 from .numerics import (
     Param,
     ParameterError,
+    ScalarRangeError,
     ShapeError,
     as_matrix,
     sigmoid,
@@ -69,8 +71,9 @@ class StationaryStats:
 def stationarize(x, epsilon: float = SIGMA_EPS):
     x = as_matrix(x)
     mu = x.mean(axis=0)
-    sigma = np.maximum(x.std(axis=0), epsilon)
-    return (x - mu) / sigma, StationaryStats(mu, sigma)
+    xc = x - mu
+    sigma = np.maximum(np.sqrt((xc * xc).mean(axis=0)), epsilon)   # x.std, reusing xc
+    return xc / sigma, StationaryStats(mu, sigma)
 
 
 def destationarize(xp, stats: StationaryStats):
@@ -214,10 +217,9 @@ def init_params(cfg: RunConfig, seed: int = 0) -> dict:
 
 
 def _layernorm_fwd(x, gain, bias):
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    y = (x - mu) * inv
+    xc = x - x.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + LN_EPS)
+    y = xc * inv
     return y * gain + bias, (y, inv, gain)
 
 
@@ -261,6 +263,12 @@ def _positional_encoding(t: int, d: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # forward / backward
+
+# What model_backward needs: per block the mixture cache (attention.MixCache),
+# the layernorm caches and the feed-forward activations; the de-stationary
+# projector caches (None without destat heads).
+ModelCache = namedtuple("ModelCache", "x xp stats hrep blocks destat t")
+BlockCache = namedtuple("BlockCache", "attn ln1 r1 z1 a1 ln2")
 
 
 def model_forward(x, params: dict, cfg: RunConfig):
@@ -317,7 +325,12 @@ def model_forward(x, params: dict, cfg: RunConfig):
             ))
         mix = MixtureWeights(heads=heads, w_o=params[f"block{b}.w_o"].value,
                              xi=xi, delta=delta, cab=cab)
-        attn_out, attn_cache = mixture_of_head_fwd(hrep, mix)
+        try:
+            attn_out, attn_cache = mixture_of_head_fwd(hrep, mix)
+        except ScalarRangeError as exc:
+            name = ("destat.xi" if exc.head is None
+                    else f"block{b}.head{cfg.n_temporal + exc.head}.{exc.name}")
+            raise ParameterError(f"{name}: {exc}") from exc
         r1, ln1_cache = _layernorm_fwd(hrep + attn_out,
                                        params[f"block{b}.ln1.gain"].value,
                                        params[f"block{b}.ln1.bias"].value)
@@ -327,7 +340,7 @@ def model_forward(x, params: dict, cfg: RunConfig):
         r2, ln2_cache = _layernorm_fwd(r1 + ff_out,
                                        params[f"block{b}.ln2.gain"].value,
                                        params[f"block{b}.ln2.bias"].value)
-        block_caches.append((attn_cache, ln1_cache, r1, z1, a1, ln2_cache))
+        block_caches.append(BlockCache(attn_cache, ln1_cache, r1, z1, a1, ln2_cache))
         hrep = r2
 
     if cfg.task == "classification":
@@ -336,7 +349,7 @@ def model_forward(x, params: dict, cfg: RunConfig):
     else:
         recon_p = hrep @ params["head.w"].value + params["head.b"].value
         pred = destationarize(recon_p, stats)
-    cache = (x, xp, stats, hrep, block_caches, destat_caches, t)
+    cache = ModelCache(x, xp, stats, hrep, block_caches, destat_caches, t)
     return pred, cache
 
 
@@ -402,12 +415,6 @@ def model_backward(dpred, cache, params: dict, cfg: RunConfig):
         params["destat.delta.b2"].grad += db2
 
 
-def encoder_forward(x, params: dict, cfg: RunConfig):
-    """Representation only (no task head, no destationarization)."""
-    pred, cache = model_forward(x, params, cfg)
-    return cache[3]
-
-
 # ---------------------------------------------------------------------------
 # losses
 
@@ -470,16 +477,7 @@ def batch_loss_and_grad(batch, params: dict, cfg: RunConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# optimizers and training
-
-
-class SGD:
-    def __init__(self, lr: float):
-        self.lr = lr
-
-    def step(self, params: dict):
-        for p in params.values():
-            p.value -= self.lr * p.grad
+# optimizer and training
 
 
 class Adam:
@@ -513,8 +511,7 @@ def train_step(batch, params: dict, cfg: RunConfig, optimizer) -> float:
     return loss
 
 
-def train_model(train_samples, val_samples, params: dict, cfg: RunConfig,
-                optimizer: str = "adam"):
+def train_model(train_samples, val_samples, params: dict, cfg: RunConfig):
     """Plain training loop with the fixed-patience early-stopping rule; lr,
     batch size, epochs, patience and shuffling seed come from ``cfg``.
 
@@ -522,7 +519,7 @@ def train_model(train_samples, val_samples, params: dict, cfg: RunConfig,
     """
     if cfg.lr < 0:
         raise ParameterError("learning rate must be non-negative")
-    opt = Adam(cfg.lr) if optimizer == "adam" else SGD(cfg.lr)
+    opt = Adam(cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     batch_size = cfg.batch_size
     records = []

@@ -66,6 +66,10 @@ class DatasetSpec:
     def validate(self):
         if abs(sum(self.splits) - 1.0) > 1e-12:
             raise DatasetSpecError(f"split ratios {self.splits} must sum to 1")
+        if self.d < 1:
+            raise DatasetSpecError(f"d = {self.d}: series need at least one feature")
+        if self.task == "classification" and self.n_classes < 1:
+            raise DatasetSpecError(f"n_classes = {self.n_classes} must be at least 1")
         for src, dst, lag, w in self.planted_lags:
             if not 1 <= lag <= self.t - 1:
                 raise DatasetSpecError(f"planted lag {lag} outside [1, {self.t - 1}]")
@@ -137,8 +141,8 @@ def inject_anomalies(sample: SeriesSample, count: int, magnitude: float,
                      seed: int) -> SeriesSample:
     """Additive spikes of magnitude * sigma at ``count`` random time steps."""
     t, d = sample.values.shape
-    if count >= t:
-        raise ParameterError(f"count {count} must be < T {t}")
+    if not 0 <= count < t:
+        raise ParameterError(f"anomaly count {count} must lie in [0, T = {t})")
     flags = np.zeros(t, dtype=np.int64)
     values = sample.values.copy()
     if count > 0:

@@ -6,6 +6,8 @@ O(d^2 T^2) loop that builds the T x d x d stack (the oracle, reduced by
 per-lag mass without the stack. Scores mix the absolute diagonal
 (auto-correlation) and off-diagonal (cross-feature) mass of each M_l with a
 convex weight, and TopK picks the best lags in [1, T-1] deterministically.
+Q and K may be stacks of H heads (H x T x d): every score then gains a
+leading head axis, and each head picks its own lags.
 """
 
 from __future__ import annotations
@@ -20,18 +22,23 @@ from .numerics import DegenerateSeriesError, ParameterError, ShapeError, as_matr
 
 @dataclass
 class LagScoreVector:
-    diag_scores: np.ndarray      # length T, sum_i |M_l(i,i)|
-    nondiag_scores: np.ndarray   # length T, sum_{i != j} |M_l(i,j)|
+    diag_scores: np.ndarray      # length T (per head), sum_i |M_l(i,i)|
+    nondiag_scores: np.ndarray   # length T (per head), sum_{i != j} |M_l(i,j)|
     combined: np.ndarray         # lam * diag + (1 - lam) * nondiag
 
 
 @dataclass
 class LagSelection:
-    lags: list       # k distinct lags in [1, T-1], best first
+    table: np.ndarray    # k distinct lags in [1, T-1] (per head), best first
+
+    @property
+    def lags(self) -> list:
+        """Every lag as an int, head after head."""
+        return self.table.ravel().tolist()
 
 
 def _check_pair(q: np.ndarray, k: np.ndarray):
-    q, k = as_matrix(q), as_matrix(k)
+    q, k = as_matrix(q, stack=True), as_matrix(k, stack=True)
     if q.shape != k.shape:
         raise ShapeError(f"query/key shape mismatch: {q.shape} vs {k.shape}")
     return q, k
@@ -42,9 +49,12 @@ def xcorr_all_lags_naive(q: np.ndarray, k: np.ndarray) -> np.ndarray:
 
     Direct time-domain evaluation in O(d^2 T^2): each key column is unrolled
     into its T circular shifts (windows of the doubled column) and multiplied
-    against q. No spectral tricks; this is the oracle for the FFT route.
+    against q. No spectral tricks; this is the oracle for the FFT route. A
+    head stack gives one T x d x d stack per head.
     """
     q, k = _check_pair(q, k)
+    if q.ndim > 2:
+        return np.stack([xcorr_all_lags_naive(qi, ki) for qi, ki in zip(q, k)])
     t, d = q.shape
     kk = np.concatenate([k, k], axis=0)          # 2T x d
     out = np.empty((t, d, d))
@@ -59,44 +69,48 @@ def xcorr_all_lags_naive(q: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def lag_mass(stack: np.ndarray) -> tuple:
-    """Per-lag absolute mass of a T x d x d stack: ``(diag, nondiag)``, the
-    diagonal sum and the off-diagonal sum of |M_l(i, j)|."""
+    """Per-lag absolute mass of a (H x) T x d x d stack: ``(diag, nondiag)``,
+    the diagonal sum and the off-diagonal sum of |M_l(i, j)|."""
     stack = np.asarray(stack, dtype=np.float64)
-    diag = np.abs(np.diagonal(stack, axis1=1, axis2=2)).sum(axis=1)
-    return diag, np.abs(stack).sum(axis=(1, 2)) - diag
+    diag = np.abs(np.diagonal(stack, axis1=-2, axis2=-1)).sum(axis=-1)
+    return diag, np.abs(stack).sum(axis=(-2, -1)) - diag
 
 
 def xcorr_all_lags_fft(q: np.ndarray, k: np.ndarray) -> tuple:
     """FFT route over all lags: ``(diag, nondiag)`` as ``lag_mass`` gives it
     for the naive stack.
 
-    Streams one key column at a time, accumulating |M_l(i, j)| into the
-    diagonal / off-diagonal totals without materializing the T x d x d
-    stack. Column i of M_l is the inverse transform of FFT(q_j) *
-    conj(FFT(k_i)); the equivalence with the naive route is pinned by tests.
+    Streams one key column at a time (for every head at once), accumulating
+    |M_l(i, j)| into the diagonal / off-diagonal totals without materializing
+    the T x d x d stack. Column i of M_l is the inverse transform of
+    FFT(q_j) * conj(FFT(k_i)); the equivalence with the naive route is
+    pinned by tests.
     """
     q, k = _check_pair(q, k)
-    t, d = q.shape
+    t, d = q.shape[-2:]
     if t < 2:
         raise DegenerateSeriesError(f"need at least 2 time steps, got {t}")
-    fq = np.fft.rfft(q, axis=0)            # F x d
-    fk = np.fft.rfft(k, axis=0)
-    diag = np.zeros(t)
-    nondiag = np.zeros(t)
+    fq = np.fft.rfft(q, axis=-2)           # (H x) F x d
+    fk = np.conj(np.fft.rfft(k, axis=-2))
+    diag = np.zeros(q.shape[:-2] + (t,))
+    nondiag = np.zeros(q.shape[:-2] + (t,))
     for i in range(d):
-        rows = np.fft.irfft(fq * np.conj(fk[:, i:i + 1]), n=t, axis=0)  # T x d
-        absrows = np.abs(rows)
-        diag += absrows[:, i]
-        nondiag += absrows.sum(axis=1) - absrows[:, i]
+        rows = np.fft.irfft(fq * fk[..., i:i + 1], n=t, axis=-2)   # (H x) T x d
+        absrows = np.abs(rows, out=rows)
+        diag += absrows[..., i]
+        nondiag += absrows.sum(axis=-1) - absrows[..., i]
     return diag, nondiag
 
 
-def score_lags(diag, nondiag, lam: float) -> LagScoreVector:
-    """Convex mix of diagonal and off-diagonal absolute mass per lag."""
-    if not 0.0 <= lam <= 1.0:
+def score_lags(diag, nondiag, lam) -> LagScoreVector:
+    """Convex mix of diagonal and off-diagonal absolute mass per lag; ``lam``
+    is one weight, or one per head."""
+    lam = np.asarray(lam, dtype=np.float64)
+    if not 0.0 <= lam.min() <= lam.max() <= 1.0:
         raise ParameterError(f"lambda must lie in [0, 1], got {lam}")
     diag = np.asarray(diag, dtype=np.float64)
     nondiag = np.asarray(nondiag, dtype=np.float64)
+    lam = lam[..., None]
     return LagScoreVector(diag, nondiag, lam * diag + (1.0 - lam) * nondiag)
 
 
@@ -106,22 +120,24 @@ def topk_count(c: int, t: int) -> int:
 
 def topk_lags(scores: LagScoreVector, c: int, t: int) -> LagSelection:
     """Pick k = c*ceil(ln T) lags (clamped to [1, T-1]) with highest combined
-    score among l in [1, T-1]; ties break toward the smaller lag."""
+    score among l in [1, T-1], for each head; ties break toward the smaller
+    lag."""
     if t < 2:
         raise DegenerateSeriesError(f"need T >= 2, got {t}")
     if c < 1:
         raise ParameterError(f"c must be a positive integer, got {c}")
     # a stable sort keeps tied lags in ascending order
-    order = np.argsort(-scores.combined[1:t], kind="stable")
-    return LagSelection(lags=(order[:topk_count(c, t)] + 1).tolist())
+    order = np.argsort(-scores.combined[..., 1:t], axis=-1, kind="stable")
+    return LagSelection(order[..., :topk_count(c, t)] + 1)
 
 
-def select_lags(q_hat: np.ndarray, k_hat: np.ndarray, lam: float, c: int,
+def select_lags(q_hat: np.ndarray, k_hat: np.ndarray, lam, c: int,
                 use_fft: bool = True) -> tuple:
-    """One-stop lag selection. Returns (LagSelection, LagScoreVector)."""
+    """One-stop lag selection for one head or a head stack (``lam`` one
+    weight or one per head). Returns (LagSelection, LagScoreVector)."""
     if use_fft:
         diag, nondiag = xcorr_all_lags_fft(q_hat, k_hat)
     else:
         diag, nondiag = lag_mass(xcorr_all_lags_naive(q_hat, k_hat))
     scores = score_lags(diag, nondiag, lam)
-    return topk_lags(scores, c, q_hat.shape[0]), scores
+    return topk_lags(scores, c, q_hat.shape[-2]), scores

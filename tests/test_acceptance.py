@@ -234,13 +234,12 @@ def test_c6_directional_toy_task(report):
 
 
 def block0_attention(cfg):
-    """Block 0's MixtureWeights and its correlated heads' forward caches, as
-    model_forward builds them."""
+    """Block 0's MixtureWeights and the forward cache of its correlated head
+    stack, as model_forward builds them."""
     params = M.init_params(cfg, seed=0)
     _, cache = M.model_forward(rand((8, cfg.d_in), 28), params, cfg)
-    _, mix, head_caches, _ = cache[4][0][0]
-    return mix, [c for h, (_, _, _, c) in zip(mix.heads, head_caches)
-                 if h.kind == "correlated"]
+    attn = cache.blocks[0].attn
+    return attn.mix, attn.cab_cache
 
 
 def test_c7_ablation_harness(report, tmp_path, capsys):
@@ -248,8 +247,8 @@ def test_c7_ablation_harness(report, tmp_path, capsys):
     ok = True
     detail = []
     pure = cli.apply_ablation(cli.RunConfig(ablation="pure"))
-    mix, cab_caches = block0_attention(pure)
-    betas = [c.beta for c in cab_caches]        # beta as the CAB forward used it
+    mix, cab_cache = block0_attention(pure)
+    betas = list(cab_cache.beta)                # beta as the CAB forward used it
     if not (pure.m == 0 and not mix.cab.filtering
             and len(betas) == pure.h and all(b == 0.0 for b in betas)):
         ok, detail = False, detail + ["pure"]

@@ -13,15 +13,20 @@ from lagattn.attention import (
     correlated_attention_bwd,
     correlated_attention_fwd,
     destationary_attention,
+    destationary_attention_bwd,
     destationary_attention_fwd,
     mixture_of_head,
+    mixture_of_head_bwd,
+    mixture_of_head_fwd,
     self_attention,
+    self_attention_bwd,
     self_attention_fwd,
 )
 from lagattn.numerics import (
     DegenerateSeriesError,
     Param,
     ParameterError,
+    ScalarRangeError,
     ShapeError,
     check_gradient,
     l2_normalize_cols,
@@ -43,6 +48,11 @@ def with_beta(beta_raw):
 
 def rand(shape, seed=0):
     return np.random.default_rng(seed).normal(size=shape)
+
+
+def lag_terms(v, cache):
+    """The terms roll(V, l) S_l of the selected lags of a one-head CAB cache."""
+    return [roll(v, l) @ s_l for l, s_l in zip(cache.all_lags[0, 1:], cache.s[0, 1:])]
 
 
 def reference_self_attention(q, k, v):
@@ -119,6 +129,51 @@ def loop_cab(q, k, v, raw, opts, g):
             "lambda_raw": dlam * (lam * (1.0 - lam))}
     return (out, l2_normalize_cols_adjoint(dq_hat, q),
             l2_normalize_cols_adjoint(dk_hat, k), dv, draw)
+
+
+def reference_dot_attention(q, k, v, xi, delta, g):
+    """One head of softmax((xi Q K^T + 1 delta^T) / sqrt(d_k)) V and its
+    backward, as matrix formulas. Returns (out, dq, dk, dv, dxi, ddelta)."""
+    scale = math.sqrt(q.shape[1])
+    qk = q @ k.T
+    z = (xi * qk + delta[None, :]) / scale
+    attn = np.exp(z - z.max(axis=1, keepdims=True))
+    attn /= attn.sum(axis=1, keepdims=True)
+    dattn = g @ v.T
+    dscores = attn * (dattn - (attn * dattn).sum(axis=1, keepdims=True)) / scale
+    return (attn @ v, xi * dscores @ k, xi * dscores.T @ q, attn.T @ g,
+            float((dscores * qk).sum()), dscores.sum(axis=0))
+
+
+def loop_mixture(x, mix, g):
+    """Mixture-of-head forward and backward one head at a time, on the
+    one-head references. Returns (out, dx, head_grads, dw_o, dxi, ddelta)."""
+    t = x.shape[0]
+    delta = np.zeros(t) if mix.delta is None else mix.delta
+    d_v = mix.heads[0].w_v.shape[1]
+    outs, grads = [], []
+    dconcat = g @ mix.w_o.T
+    for i, h in enumerate(mix.heads):
+        q, k, v = x @ h.w_q, x @ h.w_k, x @ h.w_v
+        gh = dconcat[:, i * d_v:(i + 1) * d_v]
+        if h.kind == "correlated":
+            out, dq, dk, dv, draw = loop_cab(q, k, v, h.raw, mix.cab, gh)
+            grads.append((dq, dk, dv, draw, 0.0, np.zeros(t)))
+        else:
+            xi = mix.xi if h.kind == "destat" else 1.0
+            out, dq, dk, dv, dxi, ddelta = reference_dot_attention(
+                q, k, v, xi, delta if h.kind == "destat" else np.zeros(t), gh)
+            grads.append((dq, dk, dv, {}, dxi if h.kind == "destat" else 0.0,
+                          ddelta if h.kind == "destat" else np.zeros(t)))
+        outs.append(out)
+    concat = np.concatenate(outs, axis=1)
+    dx = np.zeros_like(x)
+    head_grads = []
+    for h, (dq, dk, dv, draw, _, _) in zip(mix.heads, grads):
+        dx += dq @ h.w_q.T + dk @ h.w_k.T + dv @ h.w_v.T
+        head_grads.append({**draw, "w_q": x.T @ dq, "w_k": x.T @ dk, "w_v": x.T @ dv})
+    return (concat @ mix.w_o, dx, head_grads, concat.T @ g,
+            sum(gr[4] for gr in grads), sum(gr[5] for gr in grads))
 
 
 class TestSelfAttention:
@@ -204,12 +259,14 @@ class TestCorrelatedAttention:
         q, k = rand((12, 3), 27), rand((12, 3), 28)
         v = np.random.default_rng(29).uniform(-2.0, 5.0, size=(12, 3))
         out, cache = correlated_attention_fwd(q, k, v, with_beta(1.3))
-        kk, beta = len(cache.all_lags) - 1, cache.beta
+        kk, beta = cache.all_lags.shape[1] - 1, cache.beta[0]
         bound = (1.0 - beta) + beta * kk
         assert out.min() >= -2.0 * bound - 1e-12
         assert out.max() <= 5.0 * bound + 1e-12
         # and each individual term is itself inside the range
-        for term in roll(v, cache.all_lags[1:]) @ cache.s[1:]:
+        terms = lag_terms(v, cache)
+        assert len(terms) == kk
+        for term in terms:
             assert term.min() >= -2.0 - 1e-12 and term.max() <= 5.0 + 1e-12
 
     def test_beta_endpoint_interpolation(self):
@@ -220,8 +277,7 @@ class TestCorrelatedAttention:
         assert np.allclose(inst, v @ softmax_cols(kh.T @ qh, 1.0), atol=1e-15)
         lagged = correlated_attention(q, k, v, with_beta(big))
         out_mid, cache = correlated_attention_fwd(q, k, v, with_beta(0.0))
-        lag_terms = roll(v, cache.all_lags[1:]) @ cache.s[1:]
-        assert np.allclose(lagged, lag_terms.sum(axis=0), atol=1e-12)
+        assert np.allclose(lagged, sum(lag_terms(v, cache)), atol=1e-12)
 
     def test_temperature_sharpens_argmax(self):
         a = rand((5, 5), 33)
@@ -266,6 +322,99 @@ class TestLagStackMatchesLoop:
             assert np.abs(x - y).max() <= 1e-12
         for name in CAB_RAW:
             assert abs(got[4][name] - want[4][name]) <= 1e-12, name
+
+
+# three heads with raw scalars that differ from head to head
+STACK_RAW = {"beta_raw": np.array([0.4, -1.1, 2.0]),
+             "tau_raw": np.array([-0.3, 0.5, 1.7]),
+             "lambda_raw": np.array([0.7, -0.9, 0.1])}
+STACK_OPTS = [CabOptions(), CabOptions(c=2, soft=True), NO_FILTERING,
+              CabOptions(use_fft=False)]
+STACK_IDS = ["default", "soft-c2", "no-filtering", "naive"]
+
+
+def head_raw(raw, i):
+    return {name: float(raw[name][i]) for name in CAB_RAW}
+
+
+def assert_close(got, want, tol=1e-12):
+    assert np.shape(got) == np.shape(want)
+    assert np.abs(np.asarray(got) - np.asarray(want)).max(initial=0.0) <= tol
+
+
+class TestHeadStack:
+    """Each mechanism on a stack of heads against its one-head references,
+    head by head: outputs, every gradient and the scalar gradients."""
+
+    @pytest.mark.parametrize("t", [2, 96, 512])
+    @pytest.mark.parametrize("opts", STACK_OPTS, ids=STACK_IDS)
+    def test_cab_matches_loop(self, t, opts):
+        rng = np.random.default_rng(t + 1)
+        q, k, v, g = (rng.normal(size=(3, t, 4)) for _ in range(4))
+        out, cache = correlated_attention_fwd(q, k, v, STACK_RAW, opts)
+        dq, dk, dv, draw = correlated_attention_bwd(cache, g)
+        for i in range(3):
+            want = loop_cab(q[i], k[i], v[i], head_raw(STACK_RAW, i), opts, g[i])
+            for got_i, want_i in zip((out[i], dq[i], dk[i], dv[i]), want[:4]):
+                assert_close(got_i, want_i)
+            for name in CAB_RAW:
+                assert abs(draw[name][i] - want[4][name]) <= 1e-12, name
+
+    @pytest.mark.parametrize("t", [2, 96, 512])
+    @pytest.mark.parametrize("kind", ["self", "destat"])
+    def test_temporal_matches_heads(self, t, kind):
+        rng = np.random.default_rng(t + 2)
+        q, k, v, g = (rng.normal(size=(3, t, 4)) for _ in range(4))
+        xi, delta = (1.0, np.zeros(t)) if kind == "self" else (1.7, rng.normal(size=t))
+        if kind == "self":
+            out, cache = self_attention_fwd(q, k, v)
+            dq, dk, dv = self_attention_bwd(cache, g)
+        else:
+            out, cache = destationary_attention_fwd(q, k, v, xi, delta)
+            dq, dk, dv, dxi, ddelta = destationary_attention_bwd(cache, g)
+        want = [reference_dot_attention(q[i], k[i], v[i], xi, delta, g[i])
+                for i in range(3)]
+        for i, w in enumerate(want):
+            for got_i, want_i in zip((out[i], dq[i], dk[i], dv[i]), w[:4]):
+                assert_close(got_i, want_i)
+        if kind == "destat":
+            assert abs(dxi - sum(w[4] for w in want)) <= 1e-12 * max(1.0, abs(dxi))
+            assert_close(ddelta, sum(w[5] for w in want))
+
+    @pytest.mark.parametrize("t", [2, 96])
+    @pytest.mark.parametrize("temporal", ["self", "destat"])
+    @pytest.mark.parametrize("opts", STACK_OPTS, ids=STACK_IDS)
+    def test_mixture_matches_loop(self, t, temporal, opts):
+        rng = np.random.default_rng(t + 3)
+        d_model, d_k = 6, 4
+        heads = [HeadSpec(temporal, *(rng.normal(size=(d_model, d_k)) for _ in range(3)))
+                 for _ in range(2)]
+        heads += [HeadSpec("correlated", *(rng.normal(size=(d_model, d_k)) for _ in range(3)),
+                           raw=head_raw(STACK_RAW, i)) for i in range(3)]
+        mix = MixtureWeights(heads=heads, w_o=rng.normal(size=(5 * d_k, d_model)),
+                             xi=1.3, delta=rng.normal(size=t), cab=opts)
+        x, g = rng.normal(size=(t, d_model)), rng.normal(size=(t, d_model))
+        out, cache = mixture_of_head_fwd(x, mix)
+        dx, head_grads, dw_o, dxi, ddelta = mixture_of_head_bwd(cache, g)
+        want = loop_mixture(x, mix, g)
+        for got_i, want_i in zip((out, dx, dw_o), (want[0], want[1], want[3])):
+            assert_close(got_i, want_i)
+        for got_h, want_h in zip(head_grads, want[2]):
+            assert got_h.keys() == want_h.keys()
+            for name in got_h:
+                assert_close(got_h[name], want_h[name])
+        assert abs(dxi - want[4]) <= 1e-12 * max(1.0, abs(want[4]))   # relative
+        if temporal == "destat":
+            assert_close(ddelta, want[5])
+        else:
+            assert ddelta is None
+
+    def test_collapsed_temperature_names_head(self):
+        q = rand((3, 8, 2), 60)
+        raw = {**STACK_RAW, "tau_raw": np.array([0.1, -1e9, -1e9])}
+        with pytest.raises(ScalarRangeError) as exc:
+            correlated_attention(q, q, q, raw)
+        assert (exc.value.name, exc.value.head) == ("tau_raw", 1)
 
 
 class TestCorrelatedAttentionGradients:
@@ -347,6 +496,15 @@ class TestMixtureOfHead:
         heads = self._heads(1, 4, 2, "correlated", 52, raw=None)
         with pytest.raises(ParameterError):
             mixture_of_head(x, MixtureWeights(heads=heads, w_o=rand((2, 4), 53)))
+
+    def test_temporal_heads_come_first(self):
+        # the two stacks are heads [:m] (one temporal kind) and heads [m:]
+        x = rand((6, 4), 57)
+        for kinds in (("correlated", "self"), ("self", "destat")):
+            heads = [self._heads(1, 4, 2, kind, 58 + i, raw=CAB_RAW)[0]
+                     for i, kind in enumerate(kinds)]
+            with pytest.raises(ParameterError, match="one temporal kind"):
+                mixture_of_head(x, MixtureWeights(heads=heads, w_o=rand((4, 4), 59)))
 
     def test_bad_w_o_shape(self):
         x = rand((6, 4), 54)

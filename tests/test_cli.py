@@ -158,6 +158,15 @@ def _length_one(prefix):
                            planted_lags=s.planted_lags) for s in samples], task=task)
 
 
+def _wider_val(prefix):
+    # a val split with one feature more than the train split
+    samples, task = read_dataset(f"{prefix}.val")
+    S.write_dataset(f"{prefix}.val", [
+        S.SeriesSample(values=np.hstack([s.values, s.values[:, :1]]),
+                       mask=np.hstack([s.mask, s.mask[:, :1]]),
+                       planted_lags=s.planted_lags) for s in samples], task=task)
+
+
 def _nan_value(prefix):
     path = f"{prefix}.test"
     lines = open(path).read().splitlines()
@@ -166,8 +175,8 @@ def _nan_value(prefix):
 
 
 class TestTooLittleData:
-    """gen-data refuses data that cannot be trained on (exit 2), and train
-    refuses to load it (exit 3)."""
+    """gen-data refuses data that cannot be trained on and flag values out of
+    range (exit 2), and train refuses to load bad data (exit 3)."""
 
     @pytest.mark.parametrize("flags, code", [
         (["--t", "1"], cli.EXIT_USAGE),
@@ -175,7 +184,13 @@ class TestTooLittleData:
         (["--samples", "2"], cli.EXIT_USAGE),   # val split empty
         (["--samples", "3"], cli.EXIT_USAGE),   # test split empty
         (["--samples", "4"], 0),
-    ], ids=["t1", "samples0", "samples2", "samples3", "samples4"])
+        (["--lags", "0:1:30"], cli.EXIT_USAGE),  # lag outside [1, T-1] at T=24
+        (["--mask-ratio", "0"], cli.EXIT_USAGE),
+        (["--task", "anomaly", "--anomaly-count", "40"], cli.EXIT_USAGE),
+        (["--d", "0"], cli.EXIT_USAGE),
+        (["--task", "classification", "--classes", "0"], cli.EXIT_USAGE),
+    ], ids=["t1", "samples0", "samples2", "samples3", "samples4", "lag-30",
+            "mask-ratio-0", "anomaly-count-40", "d0", "classes0"])
     def test_gen_data(self, tmp_path, capsys, flags, code):
         out = tmp_path / "tiny"
         args = gen_args(out, t=24, d=3) + flags
@@ -186,7 +201,8 @@ class TestTooLittleData:
         (_empty_val, r"toy\.val: the val split"),
         (_length_one, r"toy\.train: .*T >= 2"),
         (_nan_value, r"toy\.test:5: non-finite"),
-    ], ids=["empty-val", "t1", "nan"])
+        (_wider_val, r"toy\.val: the val split has d = 4 features, the train split 3"),
+    ], ids=["empty-val", "t1", "nan", "d-mismatch"])
     def test_train_rejects(self, toy_dataset, capsys, damage, match):
         damage(toy_dataset)
         assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST]) \
@@ -204,9 +220,8 @@ class TestAblationPresets:
         (lam, beta), as model_forward uses them."""
         params = M.init_params(cfg, seed=0)
         x = np.random.default_rng(0).normal(size=(8, cfg.d_in))
-        _, mix, head_caches, _ = M.model_forward(x, params, cfg)[1][4][0][0]
-        return params, mix.cab, [(c.lam, c.beta) for h, (_, _, _, c) in
-                                 zip(mix.heads, head_caches) if h.kind == "correlated"]
+        attn = M.model_forward(x, params, cfg)[1].blocks[0].attn
+        return params, attn.mix.cab, list(zip(attn.cab_cache.lam, attn.cab_cache.beta))
 
     def test_pure_preset(self):
         cfg = self._cfg("pure")
@@ -332,6 +347,17 @@ class TestRunConfig:
         abort = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert abort["event"] == "abort"
         assert abort["reason"].startswith("epoch 0, batch 1: ")
+
+    @pytest.mark.parametrize("flags, name", [
+        ([], r"block0\.head1\.tau_raw"),      # the correlated head's temperature
+        (["--model", "nonstationary"], r"destat\.xi"),
+    ], ids=["tau", "xi"])
+    def test_numerical_abort_names_parameter(self, toy_dataset, capsys, flags, name):
+        assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST,
+                        "--lr", "1e9", *flags]) == cli.EXIT_NUMERICAL
+        reason = json.loads(capsys.readouterr().err.splitlines()[-1])["reason"]
+        assert re.match(r"epoch 0, batch 1: " + name + r": \w+ must be positive",
+                        reason), reason
 
     @pytest.mark.parametrize("flags, file_text, batch", [
         ([], None, 128),

@@ -1,9 +1,11 @@
+import collections
 import copy
 import math
 
 import numpy as np
 import pytest
 
+from lagattn import attention as A
 from lagattn import model as M
 from lagattn.numerics import check_gradient, zero_grads
 from lagattn.synthdata import (
@@ -56,25 +58,30 @@ class TestStationarize:
         assert np.abs(xp.std(axis=0) - 1.0).max() < 1e-10
 
 
+def encoder_output(x, params, cfg):
+    """The representation model_forward feeds to the task head."""
+    return M.model_forward(x, params, cfg)[1].hrep
+
+
 class TestEncoderForward:
     def test_zero_blocks_is_embedding(self):
         cfg = toy_config(n_blocks=0)
         params = M.init_params(cfg, seed=0)
         x = rand((8, 3), 6)
         xp, _ = M.stationarize(x)
-        out = M.encoder_forward(x, params, cfg)
+        out = encoder_output(x, params, cfg)
         assert np.array_equal(out, xp @ params["embed.w"].value)
 
     def test_output_shape(self):
         cfg = toy_config(n_blocks=2, h=2, m=1)
         params = M.init_params(cfg, seed=1)
-        assert M.encoder_forward(rand((10, 3), 7), params, cfg).shape == (10, 4)
+        assert encoder_output(rand((10, 3), 7), params, cfg).shape == (10, 4)
 
     def test_deterministic(self):
         cfg = toy_config()
         x = rand((8, 3), 8)
-        a = M.encoder_forward(x, M.init_params(cfg, seed=2), cfg)
-        b = M.encoder_forward(x, M.init_params(cfg, seed=2), cfg)
+        a = encoder_output(x, M.init_params(cfg, seed=2), cfg)
+        b = encoder_output(x, M.init_params(cfg, seed=2), cfg)
         assert np.array_equal(a, b)
 
     def test_wrong_feature_count(self):
@@ -82,6 +89,30 @@ class TestEncoderForward:
         params = M.init_params(cfg, seed=0)
         with pytest.raises(Exception):
             M.model_forward(rand((8, 5), 9), params, cfg)
+
+
+class TestHeadStacks:
+    @pytest.mark.parametrize("temporal", ["self", "destat"])
+    def test_one_attention_call_per_stack_per_block(self, monkeypatch, temporal):
+        # the reference shape (h=16, m=8), two blocks: each block runs its
+        # temporal heads as one stack and its correlated heads as another
+        cfg = M.RunConfig(task="imputation", d_in=8, d_model=16, d_k=8, h=16, m=8,
+                          n_blocks=2, temporal=temporal)
+        params = M.init_params(cfg, seed=0)
+        calls = collections.Counter()
+        names = ["correlated_attention", "self_attention", "destationary_attention"]
+        for name in [f"{n}_{way}" for n in names for way in ("fwd", "bwd")]:
+            def counted(*args, _fn=getattr(A, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(A, name, counted)
+        temporal_fn = "self_attention" if temporal == "self" else "destationary_attention"
+        M.model_forward(rand((24, 8), 30), params, cfg)
+        assert calls == {"correlated_attention_fwd": 2, f"{temporal_fn}_fwd": 2}
+        calls.clear()
+        M.sample_loss_and_grad(toy_sample(t=24, d=8), params, cfg)
+        assert calls == {f"{n}_{way}": 2 for n in ("correlated_attention", temporal_fn)
+                         for way in ("fwd", "bwd")}
 
 
 class TestParamRegistry:
@@ -174,7 +205,7 @@ class TestTraining:
         cfg = toy_config(d_in=3)
         params = M.init_params(cfg, seed=3)
         before = {n: p.value.copy() for n, p in params.items()}
-        M.train_step(self._toy_data(4), params, cfg, M.SGD(lr=0.0))
+        M.train_step(self._toy_data(4), params, cfg, M.Adam(lr=0.0))
         for n, p in params.items():
             assert np.array_equal(p.value, before[n])
 
@@ -196,13 +227,13 @@ class TestTraining:
         params["embed.w"].value[...] = 1e200
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(M.NumericalFailure):
-                M.train_step(self._toy_data(2), params, cfg, M.SGD(lr=0.1))
+                M.train_step(self._toy_data(2), params, cfg, M.Adam(lr=0.1))
 
     def test_patience_stops_early(self):
         cfg = toy_config(d_in=3, lr=0.0, batch_size=4, epochs=30, patience=3, seed=0)
         params = M.init_params(cfg, seed=6)
         data = self._toy_data(6)
-        records = M.train_model(data, data, params, cfg, optimizer="sgd")
+        records = M.train_model(data, data, params, cfg)
         assert len(records) == 4  # first epoch sets best, then 3 stale epochs
 
     def test_training_deterministic(self):

@@ -9,8 +9,6 @@ from lagattn.numerics import (
     check_gradient,
     l2_normalize_cols,
     l2_normalize_cols_adjoint,
-    matmul,
-    matmul_adjoint,
     roll,
     roll_adjoint,
     softmax_cols,
@@ -21,28 +19,6 @@ from lagattn.numerics import (
 
 def rand(shape, seed=0):
     return np.random.default_rng(seed).normal(size=shape)
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        assert np.array_equal(matmul(np.eye(2), b), b)
-
-    def test_scalar(self):
-        assert matmul([[2.0]], [[3.0]]) == np.array([[6.0]])
-
-    def test_against_triple_loop(self):
-        a, b = rand((7, 3), 1), rand((3, 5), 2)
-        ref = np.zeros((7, 5))
-        for i in range(7):
-            for j in range(5):
-                for k in range(3):
-                    ref[i, j] += a[i, k] * b[k, j]
-        assert np.allclose(matmul(a, b), ref, rtol=1e-12, atol=0)
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(rand((2, 3)), rand((2, 3)))
 
 
 class TestSoftmaxCols:
@@ -96,6 +72,13 @@ class TestL2NormalizeCols:
         c = np.array([[0.6], [0.8]])
         assert np.allclose(l2_normalize_cols(c), c, atol=1e-15)
 
+    def test_stack_is_each_matrix(self):
+        a, g = rand((2, 9, 3), 5), rand((2, 9, 3), 6)
+        out, da = l2_normalize_cols(a), l2_normalize_cols_adjoint(g, a)
+        for i in range(2):
+            assert np.array_equal(out[i], l2_normalize_cols(a[i]))
+            assert np.array_equal(da[i], l2_normalize_cols_adjoint(g[i], a[i]))
+
     def test_scale_invariance(self):
         c = rand((9, 3), 4)
         for s in (0.5, 3.0, 1e4):
@@ -125,11 +108,21 @@ class TestRoll:
         assert np.array_equal(roll(roll(x, a), b), roll(x, (a + b) % 8))
 
     def test_lag_array_gives_stack(self):
+        # n lags give the n shifts side by side, one column block per lag
         x = rand((7, 2), 7)
         lags = [0, 3, 3, 6]
-        assert np.array_equal(roll(x, lags), np.stack([roll(x, l) for l in lags]))
+        assert np.array_equal(roll(x, lags),
+                              np.concatenate([roll(x, l) for l in lags], axis=1))
         with pytest.raises(ParameterError):
             roll(x, [0, 7])
+
+    def test_lag_table_gathers_per_matrix(self):
+        x = rand((3, 7, 2), 8)
+        lags = np.array([[0, 1], [2, 6], [5, 5]])
+        assert np.array_equal(roll(x, lags), np.stack(
+            [np.concatenate([roll(xh, l) for l in row], axis=1)
+             for xh, row in zip(x, lags)]))
+        assert np.array_equal(roll(x, 4), np.stack([roll(xh, 4) for xh in x]))
 
     def test_bijection(self):
         x = rand((11, 3), 6)
@@ -153,12 +146,6 @@ class TestAdjoints:
             gflat[i] = (fp - fm) / (2 * step)
         return grad
 
-    def test_matmul_adjoint(self):
-        a, b, g = rand((4, 3), 7), rand((3, 5), 8), rand((4, 5), 9)
-        da, db = matmul_adjoint(g, a, b)
-        assert np.allclose(da, self._fd(lambda x: x @ b, a, g), atol=1e-7)
-        assert np.allclose(db, self._fd(lambda x: a @ x, b, g), atol=1e-7)
-
     def test_softmax_cols_adjoint(self):
         for shape in ((5, 3), (2, 5, 3)):           # a matrix and a stack
             a, g = rand(shape, 10), rand(shape, 11)
@@ -171,6 +158,21 @@ class TestAdjoints:
             fd_tau = (float((softmax_cols(a, tau + step) * g).sum())
                       - float((softmax_cols(a, tau - step) * g).sum())) / (2 * step)
             assert abs(dtau - fd_tau) < 1e-7
+
+    def test_per_matrix_temperature(self):
+        # one temperature per matrix of a stack: each matrix as on its own
+        a, g = rand((3, 5, 4), 20), rand((3, 5, 4), 21)
+        taus = np.array([0.5, 1.0, 2.5])
+        out = softmax_cols(a, taus)
+        da, dtau = softmax_cols_adjoint(g, out, a, taus)
+        assert dtau.shape == (3,)
+        for i, tau in enumerate(taus):
+            assert np.array_equal(out[i], softmax_cols(a[i], tau))
+            da_i, dtau_i = softmax_cols_adjoint(g[i], out[i], a[i], tau)
+            assert np.array_equal(da[i], da_i)
+            assert abs(dtau[i] - dtau_i) <= 1e-15 * max(1.0, abs(dtau_i))
+        with pytest.raises(ParameterError):
+            softmax_cols(a, np.array([0.5, 0.0, 1.0]))
 
     def test_l2_normalize_adjoint(self):
         a, g = rand((6, 4), 12), rand((6, 4), 13)
@@ -187,12 +189,18 @@ class TestAdjoints:
 
     def test_stacked_roll_adjoint_sums_inverse_rolls(self):
         lags = [0, 4, 4, 8]
-        g = rand((4, 9, 2), 16)
+        g = rand((9, 8), 16)                # one 9 x 2 block per lag
         expect = self._fd(lambda x: roll(x, lags), rand((9, 2), 17), g)
         assert np.allclose(roll_adjoint(g, lags), expect, atol=1e-8)
         assert np.allclose(roll_adjoint(g, lags),
-                           sum(roll_adjoint(gi, l) for gi, l in zip(g, lags)),
-                           atol=1e-15)
+                           sum(roll_adjoint(g[:, 2 * i:2 * i + 2], l)
+                               for i, l in enumerate(lags)), atol=1e-15)
+
+    def test_lag_table_roll_adjoint(self):
+        lags = np.array([[0, 3], [8, 8]])
+        g = rand((2, 9, 4), 18)
+        expect = self._fd(lambda x: roll(x, lags), rand((2, 9, 2), 19), g)
+        assert np.allclose(roll_adjoint(g, lags), expect, atol=1e-8)
 
 
 class TestCheckGradient:

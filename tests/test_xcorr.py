@@ -61,6 +61,18 @@ class TestFft:
                               lag_mass(xcorr_all_lags_naive(q, k))):
             assert np.abs(fft - naive).max() < 1e-9
 
+    def test_head_stack_is_each_head(self):
+        # the head axis rides along the same transforms: bitwise per head
+        q, k = rand((5, 40, 3), 30), rand((5, 40, 3), 31)
+        diag, nondiag = xcorr_all_lags_fft(q, k)
+        assert diag.shape == nondiag.shape == (5, 40)
+        for i in range(5):
+            d_i, n_i = xcorr_all_lags_fft(q[i], k[i])
+            assert np.array_equal(diag[i], d_i) and np.array_equal(nondiag[i], n_i)
+        naive = lag_mass(xcorr_all_lags_naive(q, k))
+        assert np.abs(diag - naive[0]).max() < 1e-9
+        assert np.abs(nondiag - naive[1]).max() < 1e-9
+
     def test_sinusoid_diag_max_at_zero(self):
         t = 32
         s = np.sin(2 * np.pi * np.arange(t) / t)[:, None]
@@ -135,6 +147,18 @@ class TestTopkLags:
             sel = topk_lags(self._scores(combined), c, 97)
             assert sel.lags == rule[:topk_count(c, 97)]
 
+    def test_stacked_ties_match_sorted_rule(self):
+        # each head's row of a score stack follows the sorted rule on its own
+        combined = np.random.default_rng(17).integers(0, 3, size=(4, 97)).astype(float)
+        for c in (1, 3, 20):
+            k = topk_count(c, 97)
+            sel = topk_lags(self._scores(combined), c, 97)
+            assert sel.table.shape == (4, k)
+            for row, picked in zip(combined, sel.table):
+                rule = sorted(range(1, 97), key=lambda l: (-row[l], l))
+                assert picked.tolist() == rule[:k]
+            assert sel.lags == [int(l) for l in sel.table.ravel()]   # head after head
+
     def test_lag_zero_excluded(self):
         combined = np.zeros(12)
         combined[0] = 100.0
@@ -175,6 +199,16 @@ class TestProperties:
             k /= np.linalg.norm(k, axis=0)
             sv = score_lags(*lag_mass(xcorr_all_lags_naive(q, k)), 0.0)
             assert int(np.argmax(sv.combined[1:])) + 1 == shift
+
+    def test_select_lags_per_head_lambda(self):
+        q, k = rand((3, 48, 4), 21), rand((3, 48, 4), 22)
+        lam = np.array([0.0, 0.5, 1.0])
+        for use_fft in (True, False):
+            sel, scores = select_lags(q, k, lam, 2, use_fft=use_fft)
+            for i in range(3):
+                sel_i, scores_i = select_lags(q[i], k[i], lam[i], 2, use_fft=use_fft)
+                assert sel.table[i].tolist() == sel_i.lags
+                assert np.array_equal(scores.combined[i], scores_i.combined)
 
     def test_select_lags_fft_naive_agree(self):
         q, k = rand((48, 4), 19), rand((48, 4), 20)
