@@ -158,33 +158,45 @@ def parse_lag_spec(text: str) -> list:
 
 @dataclass
 class Data:
-    """A dataset's three splits as model samples (see S.to_training_sample)."""
+    """A dataset's splits as model samples (see S.to_training_sample); a split
+    that was not read is empty."""
 
     task: str
     d_in: int
-    n_classes: int      # 1 + the largest label in any split (classification)
+    n_classes: int      # 1 + the largest label in any split read (classification)
     train: list
     val: list
     test: list
 
 
-def load_data(prefix: str) -> Data:
-    splits = [S.read_dataset(f"{prefix}.{name}") for name in ("train", "val", "test")]
-    for name, (samples, _) in zip(("train", "val", "test"), splits):
+def load_data(prefix: str, scored_only: bool = False) -> Data:
+    """Reads the train, val and test splits, in that order. With
+    ``scored_only``, reads only what score_test_split uses: the test split,
+    and the val split when the task is anomaly (it sets the threshold)."""
+    if scored_only:
+        splits = {"test": S.read_dataset(f"{prefix}.test")}
+        if splits["test"][1] == "anomaly":
+            splits = {"val": S.read_dataset(f"{prefix}.val"), **splits}
+    else:
+        splits = {name: S.read_dataset(f"{prefix}.{name}")
+                  for name in ("train", "val", "test")}
+    first = next(iter(splits))
+    for name, (samples, _) in splits.items():
         if not samples or samples[0].values.shape[0] < 2:
             raise S.DatasetParseError(f"{prefix}.{name}: the {name} split needs at "
                                       "least one sample of length T >= 2")
-        d, d_train = samples[0].values.shape[1], splits[0][0][0].values.shape[1]
-        if d != d_train:
+        d, d_first = samples[0].values.shape[1], splits[first][0][0].values.shape[1]
+        if d != d_first:
             raise S.DatasetParseError(f"{prefix}.{name}: the {name} split has d = {d} "
-                                      f"features, the train split {d_train}")
-    task = splits[-1][1]
-    train, val, test = ([S.to_training_sample(s, task) for s in samples]
-                        for samples, _ in splits)
-    everything = train + val + test
+                                      f"features, the {first} split {d_first}")
+    task = splits["test"][1]
+    read = {name: [S.to_training_sample(s, task) for s in samples]
+            for name, (samples, _) in splits.items()}
+    everything = [s for samples in read.values() for s in samples]
     n_classes = (1 + max(int(s[3]) for s in everything)
                  if task == "classification" else 0)
-    return Data(task, everything[0][0].shape[1], n_classes, train, val, test)
+    return Data(task, everything[0][0].shape[1], n_classes, read.get("train", []),
+                read.get("val", []), read["test"])
 
 
 def emit(record: dict, fh=None) -> None:
@@ -297,7 +309,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    data = load_data(args.data)
+    data = load_data(args.data, scored_only=True)
     cfg = config_from_dict(read_config(args.checkpoint + ".config"))
     params = setup(cfg, data)
     M.load_into(params, args.checkpoint)

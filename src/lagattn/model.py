@@ -646,7 +646,7 @@ def save_checkpoint(path, params: dict) -> None:
             v = params[name].value
             dims = " ".join(str(d) for d in v.shape)
             fh.write(f"{name} {v.ndim}{' ' + dims if dims else ''}\n")
-            fh.write(",".join(repr(float(x)) for x in v.reshape(-1)) + "\n")
+            fh.write(",".join(map(repr, v.reshape(-1).tolist())) + "\n")
 
 
 def load_checkpoint(path) -> dict:
@@ -676,8 +676,8 @@ def load_checkpoint(path) -> dict:
         if i + 1 >= len(lines):
             raise CheckpointError(f"{path}: missing values for {name}")
         try:
-            vals = np.array([float(s) for s in lines[i + 1].split(",")]
-                            if lines[i + 1] else [], dtype=np.float64)
+            vals = (np.loadtxt([lines[i + 1]], delimiter=",", comments=None, ndmin=1)
+                    if lines[i + 1] else np.empty(0))
         except ValueError:
             raise CheckpointError(f"{path}: non-numeric value for {name} at "
                                   f"line {i + 2}") from None

@@ -6,10 +6,16 @@ random frequency and phase, standardized per feature. A planted coupling
 target: w * roll(base_i, L) + sqrt(1 - w^2) * base_j, so unit weight at
 zero noise makes the target an exact shifted copy. The circular delay is a
 deliberate idealization matching the roll semantics of the scoring path.
+
+Datasets are text files. ``read_dataset`` walks the sample headers and
+parses each T x d value or mask block with one numpy call, then checks the
+whole block at once (row width, finite values, mask entries in {0, 1}). Only
+a block that fails is read again line by line, to name its first bad line.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -68,6 +74,8 @@ class DatasetSpec:
             raise DatasetSpecError(f"split ratios {self.splits} must sum to 1")
         if self.d < 1:
             raise DatasetSpecError(f"d = {self.d}: series need at least one feature")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise DatasetSpecError(f"noise = {self.noise} must be finite and not negative")
         if self.task == "classification" and self.n_classes < 1:
             raise DatasetSpecError(f"n_classes = {self.n_classes} must be at least 1")
         for src, dst, lag, w in self.planted_lags:
@@ -80,10 +88,9 @@ class DatasetSpec:
 
 def _base_feature(rng, t: int, ar_coef: float, sin_amp: float) -> np.ndarray:
     e = rng.normal(size=t)
-    x = np.empty(t)
-    x[0] = e[0]
-    for i in range(1, t):
-        x[i] = ar_coef * x[i - 1] + e[i]
+    # the AR(1) recursion on Python floats: the same IEEE products and sums
+    # as on numpy scalars, at a fraction of the cost per step
+    x = np.array(list(itertools.accumulate(e.tolist(), lambda a, b: ar_coef * a + b)))
     freq = rng.integers(1, max(t // 4, 2))
     phase = rng.uniform(0.0, 2.0 * math.pi)
     x = x + sin_amp * math.sqrt(t) * np.sin(2.0 * math.pi * freq *
@@ -143,6 +150,8 @@ def inject_anomalies(sample: SeriesSample, count: int, magnitude: float,
     t, d = sample.values.shape
     if not 0 <= count < t:
         raise ParameterError(f"anomaly count {count} must lie in [0, T = {t})")
+    if not math.isfinite(magnitude):
+        raise ParameterError(f"anomaly magnitude {magnitude} must be finite")
     flags = np.zeros(t, dtype=np.int64)
     values = sample.values.copy()
     if count > 0:
@@ -186,8 +195,10 @@ class DegenerateMaskError(ValueError):
 DATASET_TAG = "lagattn-dataset v1"
 
 
-def _fmt_row(row) -> str:
-    return ",".join(repr(float(v)) for v in row)
+def _csv_lines(block, dtype) -> str:
+    """One line of comma-separated values per row of ``block``."""
+    return "".join(",".join(map(repr, row)) + "\n"
+                   for row in np.asarray(block, dtype=dtype).tolist())
 
 
 def write_dataset(path, samples: list, task: str = "imputation") -> None:
@@ -205,13 +216,34 @@ def write_dataset(path, samples: list, task: str = "imputation") -> None:
                      f"planted {len(s.planted_lags)}\n")
             for src, dst, lag, w in s.planted_lags:
                 fh.write(f"{int(src)} {int(dst)} {int(lag)} {repr(float(w))}\n")
-            for row in s.values:
-                fh.write(_fmt_row(row) + "\n")
+            fh.write(_csv_lines(s.values, np.float64))
             if s.mask is not None:
-                for row in s.mask:
-                    fh.write(",".join(str(int(v)) for v in row) + "\n")
+                fh.write(_csv_lines(s.mask, np.int64))
             if s.anomaly_flags is not None:
-                fh.write(",".join(str(int(v)) for v in s.anomaly_flags) + "\n")
+                fh.write(_csv_lines([s.anomaly_flags], np.int64))
+
+
+def _parse_rows(rows: list, dtype):
+    """``rows`` of comma-separated numbers as one 2-D array, parsed by one
+    numpy call; None if a row does not parse or the rows differ in width."""
+    if not rows or not all(rows):       # loadtxt would skip an empty row
+        return None
+    try:
+        return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _fault(block, width: int, what: str, binary: bool):
+    """The fault of a parsed block or row, named as read_dataset reports it,
+    or None."""
+    if not np.isfinite(block).all():
+        return f"non-finite value in {what}"
+    if block.shape[1] != width:
+        return f"{what} row has {block.shape[1]} values, expected {width}"
+    if binary and ((block != 0) & (block != 1)).any():
+        return f"{what} entry outside {{0, 1}}"
+    return None
 
 
 def read_dataset(path) -> tuple:
@@ -235,6 +267,30 @@ def read_dataset(path) -> tuple:
         fail(1, "header fields T/d/samples must be integers")
     task = header[5]
 
+    def read_block(rows, dtype, what, binary=False):
+        """The next ``rows`` lines of ``d`` values each, parsed as one block;
+        only a bad block is read again line by line, to name its first bad
+        line."""
+        nonlocal ln
+        block = _parse_rows(lines[ln:ln + rows], dtype)
+        if block is not None and len(block) == rows \
+                and _fault(block, d, what, binary) is None:
+            ln += rows
+            return block
+        good = []
+        for _ in range(rows):
+            if ln >= len(lines):
+                fail(len(lines) - 1, f"unexpected end of file in {what}")
+            row = _parse_rows([lines[ln]], dtype)
+            if row is None:
+                fail(ln, f"non-numeric value in {what}")
+            fault = _fault(row, d, what, binary)
+            if fault:
+                fail(ln, fault)
+            good.append(row[0])
+            ln += 1
+        return np.array(good)
+
     samples = []
     ln = 2
     for i in range(n):
@@ -251,6 +307,8 @@ def read_dataset(path) -> tuple:
             label = None if label_s == "-" else int(label_s)
         except ValueError:
             fail(ln, "sample header flags and label must be integers")
+        if label is not None and label < 0:
+            fail(ln, f"sample label {label} is negative")
         ln += 1
         planted = []
         for _ in range(n_planted):
@@ -267,34 +325,18 @@ def read_dataset(path) -> tuple:
                      "numeric weight")
             ln += 1
 
-        def read_block(rows, cast, what):
-            nonlocal ln
-            block = []
-            for _ in range(rows):
-                if ln >= len(lines):
-                    fail(len(lines) - 1, f"unexpected end of file in {what}")
-                try:
-                    row = [cast(v) for v in lines[ln].split(",")]
-                except ValueError:
-                    fail(ln, f"non-numeric value in {what}")
-                if not all(map(math.isfinite, row)):
-                    fail(ln, f"non-finite value in {what}")
-                if len(row) != d:
-                    fail(ln, f"{what} row has {len(row)} values, expected {d}")
-                block.append(row)
-                ln += 1
-            return np.array(block)
-
-        values = read_block(t, float, "values")
-        mask = read_block(t, int, "mask") if has_mask else None
+        values = read_block(t, np.float64, "values")
+        mask = read_block(t, np.int64, "mask", binary=True) if has_mask else None
         flags = None
         if has_flags:
-            try:
-                flags = np.array([int(v) for v in lines[ln].split(",")])
-            except (ValueError, IndexError):
+            flags = _parse_rows(lines[ln:ln + 1], np.int64)
+            if flags is None:
                 fail(ln, "malformed anomaly flags")
+            flags = flags[0]
             if flags.size != t:
                 fail(ln, f"anomaly flags have {flags.size} entries, expected {t}")
+            if ((flags != 0) & (flags != 1)).any():
+                fail(ln, "anomaly flag outside {0, 1}")
             ln += 1
         samples.append(SeriesSample(values=values, mask=mask, label=label,
                                     anomaly_flags=flags, planted_lags=planted))

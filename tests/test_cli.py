@@ -115,6 +115,34 @@ class TestTrainEval:
         assert run_cli(["eval", "--data", str(toy_dataset),
                         "--checkpoint", str(ckpt)]) == cli.EXIT_FILE
 
+    def test_eval_reads_only_the_test_split(self, toy_dataset, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST,
+                        "--checkpoint", str(ckpt),
+                        "--metrics", str(tmp_path / "metrics.jsonl")]) == 0
+        mse = json.loads((tmp_path / "metrics.jsonl").read_text()
+                         .splitlines()[-1])["mse"]
+        for split in ("train", "val"):     # imputation scores the test split only
+            os.remove(f"{toy_dataset}.{split}")
+            capsys.readouterr()
+            assert run_cli(["eval", "--data", str(toy_dataset),
+                            "--checkpoint", str(ckpt)]) == 0
+            assert json.loads(capsys.readouterr().out.splitlines()[-1])["mse"] == mse
+
+    def test_anomaly_eval_needs_val(self, tmp_path, capsys):
+        data = tmp_path / "anom"
+        run_cli(gen_args(data, t=24, d=3, samples=10, task="anomaly"))
+        ckpt = tmp_path / "anom.ckpt"
+        assert run_cli(["train", "--data", str(data), *TRAIN_FAST,
+                        "--checkpoint", str(ckpt)]) == 0
+        os.remove(f"{data}.train")
+        assert run_cli(["eval", "--data", str(data), "--checkpoint", str(ckpt)]) == 0
+        capsys.readouterr()
+        os.remove(f"{data}.val")
+        assert run_cli(["eval", "--data", str(data), "--checkpoint", str(ckpt)]) \
+            == cli.EXIT_FILE
+        assert "anom.val" in capsys.readouterr().err
+
     def test_missing_dataset_file_exit(self, tmp_path, capsys):
         assert run_cli(["train", "--data", str(tmp_path / "nope"),
                         *TRAIN_FAST]) == cli.EXIT_FILE
@@ -189,8 +217,12 @@ class TestTooLittleData:
         (["--task", "anomaly", "--anomaly-count", "40"], cli.EXIT_USAGE),
         (["--d", "0"], cli.EXIT_USAGE),
         (["--task", "classification", "--classes", "0"], cli.EXIT_USAGE),
+        (["--noise", "nan"], cli.EXIT_USAGE),
+        (["--noise", "-0.1"], cli.EXIT_USAGE),
+        (["--task", "anomaly", "--anomaly-magnitude", "inf"], cli.EXIT_USAGE),
     ], ids=["t1", "samples0", "samples2", "samples3", "samples4", "lag-30",
-            "mask-ratio-0", "anomaly-count-40", "d0", "classes0"])
+            "mask-ratio-0", "anomaly-count-40", "d0", "classes0", "noise-nan",
+            "noise-negative", "anomaly-magnitude-inf"])
     def test_gen_data(self, tmp_path, capsys, flags, code):
         out = tmp_path / "tiny"
         args = gen_args(out, t=24, d=3) + flags

@@ -172,7 +172,14 @@ class TestFileFormat:
          ":5: non-finite value"),
         (lambda lines: lines[:5] + ["-inf," + lines[5].split(",", 1)[1]] + lines[6:],
          ":6: non-finite value"),
-    ], ids=["planted-non-numeric", "planted-truncated", "label", "nan", "inf"])
+        (lambda lines: lines[:2] + [lines[2].replace("label -", "label -1")]
+         + lines[3:], ":3: sample label -1 is negative"),
+        (lambda lines: lines[:20] + ["5," + lines[20].split(",", 1)[1]] + lines[21:],
+         ":21: mask entry outside"),
+        (lambda lines: lines[:21] + ["-1," + lines[21].split(",", 1)[1]] + lines[22:],
+         ":22: mask entry outside"),
+    ], ids=["planted-non-numeric", "planted-truncated", "label", "nan", "inf",
+            "negative-label", "mask-5", "mask-negative"])
     def test_corrupt_sample_names_position(self, tmp_path, corrupt, match):
         path = tmp_path / "bad.train"
         write_dataset(path, self._dataset(), task="imputation")
@@ -181,6 +188,17 @@ class TestFileFormat:
         assert lines[3].split()[:3] == ["0", "1", "3"]    # and its planted lag
         path.write_text("\n".join(corrupt(lines)) + "\n")
         with pytest.raises(DatasetParseError, match=match):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("flag", ["2", "-1"])
+    def test_anomaly_flag_outside_binary(self, tmp_path, flag):
+        path = tmp_path / "bad.test"
+        write_dataset(path, self._dataset("anomaly"), task="anomaly")
+        lines = path.read_text().splitlines()
+        assert lines[20].count(",") == 15           # sample 0's flags
+        lines[20] = flag + "," + lines[20].split(",", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetParseError, match=":21: anomaly flag outside"):
             read_dataset(path)
 
     def test_truncated_sample(self, tmp_path):
