@@ -3,7 +3,7 @@
 Lagged cross-correlation scoring with TopK lag selection, four attention
 mechanisms (self, de-stationary, correlated, mixture-of-head), an
 encoder-only model with hand-derived gradients, synthetic data with planted
-lags, and a CLI for training, evaluation and benchmarking.
+lags, and a CLI for data generation, training, evaluation and ablations.
 """
 
 from .attention import (

@@ -4,10 +4,12 @@ Self, de-stationary and correlated attention act on a head stack: q, k and
 v are H x T x d, and every head runs in the same numpy calls. A 2-D input
 is a stack of one and gives 2-D results. Correlated heads carry their own
 scalars (one array entry per head) and pick their own lags. Mixture-of-head
-runs a block's heads as two stacks: one fused projection x @ [W_q | W_k |
-W_v] for all h heads, then one temporal call on heads [:m] and one
-correlated call on heads [m:]. Its backward splits the fused projection
-gradient back into per-head gradients.
+takes one T x d_model sample or a B x T x d_model chunk of samples and runs
+a block's heads as two stacks: one fused projection x @ [W_q | W_k | W_v]
+for all h heads of every sample, then one temporal call on the B m heads
+[:m] and one correlated call on the B (h - m) heads [m:], each stack
+holding its heads sample after sample. Its backward splits the fused
+projection gradient back into per-head gradients, summed over the samples.
 
 Each mechanism comes as a ``*_fwd`` / ``*_bwd`` pair. Forward returns
 ``(output, cache)``; backward maps the output cotangent to cotangents of
@@ -89,9 +91,16 @@ def _t(a):
 # attention skips the scale xi and the shift Delta (xi = None)
 
 
-# What the temporal backward needs: qk is Q K^T / scale (de-stationary
-# attention only, for dxi), attn the row softmaxes and out = attn V.
+# What the temporal backward needs: xi the per-sample scales (de-stationary
+# attention only), qk Q K^T / scale (for dxi), attn the row softmaxes and
+# out = attn V.
 DotCache = namedtuple("DotCache", "q k v xi qk attn out scale single")
+
+
+def _per_head(a, n: int) -> np.ndarray:
+    """Per-sample values (leading axis B) repeated for the n / B heads of each
+    sample, so that axis indexes the n matrices of a stack."""
+    return np.repeat(a, n // len(a), axis=0)
 
 
 def _dot_attention_fwd(q, k, v, xi, delta):
@@ -103,8 +112,9 @@ def _dot_attention_fwd(q, k, v, xi, delta):
     # size costs more than the arithmetic on it
     z, qk = (q / scale) @ _t(k), None
     if xi is not None:          # keep Q K^T / scale for dxi
-        qk, z = z, xi * z
-        z += delta / scale
+        n, b = q.shape[0], xi.size
+        qk, z = z, _per_head(xi.reshape(-1), n)[:, None, None] * z
+        z += _per_head(delta.reshape(b, -1), n)[:, None, :] / scale
     z -= z.max(axis=-1, keepdims=True)
     attn = np.exp(z, out=z)
     attn /= attn.sum(axis=-1, keepdims=True)
@@ -126,8 +136,9 @@ def _dot_attention_bwd(cache, g):
     dq = dscores @ c.k
     dk = dscores.transpose(0, 2, 1) @ c.q
     if c.xi is not None:
-        dq *= c.xi
-        dk *= c.xi
+        xi = _per_head(c.xi.reshape(-1), len(dq))[:, None, None]
+        dq *= xi
+        dk *= xi
     return (*_unstack(c.single, dq, dk, dv), dscores)
 
 
@@ -144,21 +155,29 @@ def self_attention(q, k, v):
 
 
 def destationary_attention_fwd(q, k, v, xi, delta):
-    """``xi`` and ``delta`` (length T) are shared by every head."""
-    xi = float(xi)
-    if not xi > 0:
+    """A float ``xi`` and a length-T ``delta`` belong to one sample and are
+    shared by every head of the stack. For a stack of B samples' heads,
+    sample after sample, ``xi`` holds B values and ``delta`` is B x T."""
+    xi = np.asarray(xi, dtype=np.float64)
+    if not xi.min() > 0:
         raise ScalarRangeError("xi", None, f"xi must be positive, got {xi}")
-    delta = np.asarray(delta, dtype=np.float64).reshape(-1)
-    if delta.shape[0] != np.shape(k)[-2]:
-        raise ShapeError(f"delta length {delta.shape[0]} != T {np.shape(k)[-2]}")
+    delta = np.asarray(delta, dtype=np.float64)
+    t, n = np.shape(k)[-2], np.shape(k)[0] if np.ndim(k) > 2 else 1
+    if delta.shape != xi.shape + (t,) or n % xi.size:
+        raise ShapeError(f"delta {delta.shape} and xi {xi.shape} do not fit "
+                         f"{n} heads of length T {t}")
     return _dot_attention_fwd(q, k, v, xi, delta)
 
 
 def destationary_attention_bwd(cache, g):
-    """Returns (dq, dk, dv, dxi, ddelta), dxi and ddelta summed over heads."""
+    """Returns (dq, dk, dv, dxi, ddelta), dxi and ddelta summed over the heads
+    of each sample and shaped like the forward's xi and delta."""
     dq, dk, dv, dscores = _dot_attention_bwd(cache, g)
-    dxi = cache.scale * float(np.vdot(dscores, cache.qk))
-    return dq, dk, dv, dxi, dscores.sum(axis=(0, 1))
+    xi = cache.xi
+    b, t = xi.size, dscores.shape[-1]
+    dxi = cache.scale * np.vecdot(dscores.reshape(b, -1), cache.qk.reshape(b, -1))
+    ddelta = dscores.sum(axis=1).reshape(b, -1, t).sum(axis=1)
+    return dq, dk, dv, dxi.reshape(xi.shape)[()], ddelta.reshape(xi.shape + (t,))
 
 
 def destationary_attention(q, k, v, xi, delta):
@@ -289,23 +308,25 @@ class HeadSpec:
 class MixtureWeights:
     heads: list                  # temporal heads first, then correlated ones
     w_o: np.ndarray
-    # shared de-stationary scalars, used by "destat" heads only
-    xi: float = 1.0
+    # de-stationary scalars, used by "destat" heads only: one xi and a
+    # length-T delta per sample (a float and a vector for one sample)
+    xi: float | np.ndarray = 1.0
     delta: np.ndarray | None = None
     cab: CabOptions = CabOptions()   # shared by every correlated head
 
 
-# What mixture_of_head_bwd needs: the fused projection, the number m of
-# temporal heads and their kind, each stack's cache and the concatenated
-# head outputs.
+# What mixture_of_head_bwd needs: the B x T x d_model input, the fused
+# projection, the number m of temporal heads and their kind, each stack's
+# cache, the concatenated head outputs ((B T) x h d_k) and whether the input
+# was one sample.
 MixCache = namedtuple("MixCache", "x mix w_qkv m temporal temporal_cache "
-                                  "cab_cache concat")
+                                  "cab_cache concat single")
 
 
 def _validate_mixture(x, mix: MixtureWeights):
     """Returns (m, temporal kind) of a mixture whose heads [:m] share one
     temporal kind and whose heads [m:] are correlated."""
-    d_model, d_k = x.shape[1], mix.heads[0].w_q.shape[1]
+    d_model, d_k = x.shape[-1], mix.heads[0].w_q.shape[1]
     for i, h in enumerate(mix.heads):
         if not h.w_q.shape == h.w_k.shape == h.w_v.shape == (d_model, d_k):
             raise ShapeError(f"head {i}: projections must all be {d_model} x {d_k}")
@@ -324,64 +345,89 @@ def _validate_mixture(x, mix: MixtureWeights):
     return m, kinds[0] if m else None
 
 
+def _fold(qkv):
+    """Projections of B samples' heads, 3 x B x H x T x d, as the q, k and v
+    (B H) x T x d stacks, sample after sample (views for one sample, copies
+    otherwise)."""
+    return qkv.reshape((3, -1) + qkv.shape[3:])
+
+
 def mixture_of_head_fwd(x, mix: MixtureWeights):
-    x = as_matrix(x)
+    """``x`` is one T x d_model sample or a B x T x d_model chunk; the output
+    has its shape."""
+    x = as_matrix(x, stack=True)
+    if x.ndim > 3:
+        raise ShapeError(f"expected a sample or a chunk of samples, got {x.shape}")
+    single = x.ndim == 2
+    x = x[None] if single else x
     m, temporal = _validate_mixture(x, mix)
     heads = mix.heads
-    t, h, d_k = x.shape[0], len(heads), heads[0].w_q.shape[1]
+    (b, t, d_model), h, d_k = x.shape, len(heads), heads[0].w_q.shape[1]
     w_qkv = np.concatenate([hd.w_q for hd in heads] + [hd.w_k for hd in heads]
                            + [hd.w_v for hd in heads], axis=1)
-    # strided H x T x d_k views of the fused projection: a copy into head-major
-    # order would cost more than the products that read them
-    q, k, v = (x @ w_qkv).reshape(t, 3, h, d_k).transpose(1, 2, 0, 3)
+    # strided 3 x B x h x T x d_k views of the fused projection: for one
+    # sample a copy into head-major order would cost more than the products
+    # that read them
+    qkv = (x.reshape(b * t, d_model) @ w_qkv).reshape(b, t, 3, h, d_k).transpose(
+        2, 0, 3, 1, 4)
     outs, temporal_cache, cab_cache = [], None, None
     if m:
+        q, k, v = _fold(qkv[:, :, :m])
         if temporal == "self":
-            out, temporal_cache = self_attention_fwd(q[:m], k[:m], v[:m])
+            out, temporal_cache = self_attention_fwd(q, k, v)
         else:
-            out, temporal_cache = destationary_attention_fwd(q[:m], k[:m], v[:m],
-                                                             mix.xi, mix.delta)
-        outs.append(out)
+            out, temporal_cache = destationary_attention_fwd(q, k, v, mix.xi, mix.delta)
+        outs.append(out.reshape(b, m, t, d_k))
     if m < h:
-        raw = {name: np.array([hd.raw[name] for hd in heads[m:]], dtype=np.float64)
+        # each sample's heads carry the heads' scalars
+        raw = {name: np.array([hd.raw[name] for hd in heads[m:]] * b, dtype=np.float64)
                for name in CAB_RAW}
-        out, cab_cache = correlated_attention_fwd(q[m:], k[m:], v[m:], raw, mix.cab)
-        outs.append(out)
-    concat = np.concatenate(outs).transpose(1, 0, 2).reshape(t, h * d_k)
-    return concat @ mix.w_o, MixCache(x, mix, w_qkv, m, temporal, temporal_cache,
-                                      cab_cache, concat)
+        out, cab_cache = correlated_attention_fwd(*_fold(qkv[:, :, m:]), raw, mix.cab)
+        outs.append(out.reshape(b, h - m, t, d_k))
+    concat = np.concatenate(outs, axis=1).transpose(0, 2, 1, 3).reshape(b * t, h * d_k)
+    out = (concat @ mix.w_o).reshape(b, t, d_model)
+    return _unstack(single, out)[0], MixCache(x, mix, w_qkv, m, temporal,
+                                              temporal_cache, cab_cache, concat, single)
 
 
 def mixture_of_head_bwd(cache, g):
     """Returns (dx, head_grads, dw_o, dxi, ddelta).
 
     ``head_grads`` is one dict per head, keyed by the registry suffix of each
-    parameter: w_q, w_k, w_v and, for correlated heads, the ``CAB_RAW`` names.
+    parameter: w_q, w_k, w_v and, for correlated heads, the ``CAB_RAW`` names;
+    each sums over the samples. ``dxi`` and ``ddelta`` have the shapes of the
+    mixture's xi and delta (0.0 and None without de-stationary heads).
     """
     c = cache
-    t, h, m = c.x.shape[0], len(c.mix.heads), c.m
-    dheads = (g @ c.mix.w_o.T).reshape(t, h, -1).transpose(1, 0, 2)
+    (b, t, d_model), h, m = c.x.shape, len(c.mix.heads), c.m
+    g = g.reshape(b * t, d_model)
+    dheads = (g @ c.mix.w_o.T).reshape(b, t, h, -1).transpose(0, 2, 1, 3)
+    d_k = dheads.shape[-1]
     # the gradient of the fused projection, written through head-major views
-    dflat = np.empty((t, c.w_qkv.shape[1]))
-    dqkv = dflat.reshape(t, 3, h, -1).transpose(1, 2, 0, 3)
+    dflat = np.empty((b * t, c.w_qkv.shape[1]))
+    dqkv = dflat.reshape(b, t, 3, h, d_k).transpose(2, 0, 3, 1, 4)
     head_grads = [{} for _ in range(h)]
     dxi, ddelta = 0.0, None
     if m and c.temporal == "self":
-        dqkv[:, :m] = self_attention_bwd(c.temporal_cache, dheads[:m])
+        dq, dk, dv = self_attention_bwd(c.temporal_cache,
+                                        dheads[:, :m].reshape(-1, t, d_k))
     elif m:
-        dq, dk, dv, dxi, ddelta = destationary_attention_bwd(c.temporal_cache,
-                                                             dheads[:m])
-        dqkv[:, :m] = dq, dk, dv
+        dq, dk, dv, dxi, ddelta = destationary_attention_bwd(
+            c.temporal_cache, dheads[:, :m].reshape(-1, t, d_k))
+    if m:
+        dqkv[:, :, :m] = np.reshape((dq, dk, dv), (3, b, m, t, d_k))
     if m < h:
-        dq, dk, dv, draw = correlated_attention_bwd(c.cab_cache, dheads[m:])
-        dqkv[:, m:] = dq, dk, dv
+        dq, dk, dv, draw = correlated_attention_bwd(c.cab_cache,
+                                                    dheads[:, m:].reshape(-1, t, d_k))
+        dqkv[:, :, m:] = np.reshape((dq, dk, dv), (3, b, h - m, t, d_k))
         for name, grads in draw.items():
-            for i, grad in enumerate(grads, start=m):
+            for i, grad in enumerate(grads.reshape(b, h - m).sum(axis=0), start=m):
                 head_grads[i][name] = grad
-    dw = (c.x.T @ dflat).reshape(c.x.shape[1], 3, h, -1)
+    dw = (c.x.reshape(b * t, d_model).T @ dflat).reshape(d_model, 3, h, d_k)
     for i, grads in enumerate(head_grads):
         grads.update(w_q=dw[:, 0, i], w_k=dw[:, 1, i], w_v=dw[:, 2, i])
-    return dflat @ c.w_qkv.T, head_grads, c.concat.T @ g, dxi, ddelta
+    dx = (dflat @ c.w_qkv.T).reshape(b, t, d_model)
+    return _unstack(c.single, dx)[0], head_grads, c.concat.T @ g, dxi, ddelta
 
 
 def mixture_of_head(x, mix: MixtureWeights):

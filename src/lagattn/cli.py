@@ -1,4 +1,4 @@
-"""Command line front end: gen-data, train, eval, bench, ablate.
+"""Command line front end: gen-data, train, eval, ablate.
 
 Metrics are emitted as newline-delimited JSON records (one object per
 line). Exit codes: 0 success, 2 usage, 3 file problems, 4 numerical
@@ -12,17 +12,12 @@ import argparse
 import json
 import math
 import os
-import statistics
 import sys
 import time
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from . import model as M
 from . import synthdata as S
-from . import xcorr
-from .attention import CAB_RAW, correlated_attention
 from .model import RunConfig
 from .numerics import ParameterError
 
@@ -79,8 +74,8 @@ def validate(cfg: RunConfig) -> RunConfig:
     for key in ("d_model", "d_k", "h", "c", "batch_size", "epochs"):
         if getattr(cfg, key) < 1:
             raise UsageError(f"{key}={getattr(cfg, key)} must be at least 1")
-    if cfg.lr < 0:
-        raise UsageError(f"lr={cfg.lr} must not be negative")
+    if not 0 <= cfg.lr < math.inf:
+        raise UsageError(f"lr={cfg.lr} must be finite and not negative")
     if cfg.cab and not 0 <= cfg.m <= cfg.h:
         raise UsageError(f"m={cfg.m} must lie in [0, h={cfg.h}]")
     if cfg.filtering_enabled and not 0.0 < cfg.beta_init < 1.0:
@@ -88,8 +83,8 @@ def validate(cfg: RunConfig) -> RunConfig:
                          "while filtering is enabled")
     if not 0.0 < cfg.lambda_init < 1.0:
         raise UsageError(f"lambda_init={cfg.lambda_init} must lie in (0, 1)")
-    if not cfg.tau_init > 0.0:
-        raise UsageError(f"tau_init={cfg.tau_init} must be positive")
+    if not 0.0 < cfg.tau_init < math.inf:
+        raise UsageError(f"tau_init={cfg.tau_init} must be positive and finite")
     return cfg
 
 
@@ -318,39 +313,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _median_time(fn, reps: int, warmup: int) -> float:
-    for _ in range(warmup):
-        fn()
-    times = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
-
-
-def cmd_bench(args) -> int:
-    t_values = [int(v) for v in args.t_list.split(",")]
-    d_values = [int(v) for v in args.d_list.split(",")]
-    rng = np.random.default_rng(args.seed)
-    print("T,d_k,naive_s,fft_s,cab_fwd_s")
-    rows = []
-    for t in t_values:
-        for d in d_values:
-            q = rng.normal(size=(t, d))
-            k = rng.normal(size=(t, d))
-            v = rng.normal(size=(t, d))
-            naive = _median_time(lambda: xcorr.xcorr_all_lags_naive(q, k),
-                                 args.reps, args.warmup)
-            fft = _median_time(lambda: xcorr.xcorr_all_lags_fft(q, k),
-                               args.reps, args.warmup)
-            full = _median_time(lambda: correlated_attention(q, k, v, CAB_RAW),
-                                args.reps, args.warmup)
-            rows.append((t, d, naive, fft, full))
-            print(f"{t},{d},{naive:.6g},{fft:.6g},{full:.6g}")
-    return 0
-
-
 def cmd_ablate(args) -> int:
     data = load_data(args.data)
     results = []
@@ -426,14 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--data", required=True)
     e.add_argument("--checkpoint", required=True)
     e.set_defaults(func=cmd_eval)
-
-    b = sub.add_parser("bench", help="time naive vs FFT lag scoring")
-    b.add_argument("--t-list", default="384,768,1536")
-    b.add_argument("--d-list", default="8")
-    b.add_argument("--reps", type=int, default=10)
-    b.add_argument("--warmup", type=int, default=3)
-    b.add_argument("--seed", type=int, default=0)
-    b.set_defaults(func=cmd_bench)
 
     a = sub.add_parser("ablate", help="run all ablation presets")
     add_train_flags(a)

@@ -7,10 +7,11 @@ target: w * roll(base_i, L) + sqrt(1 - w^2) * base_j, so unit weight at
 zero noise makes the target an exact shifted copy. The circular delay is a
 deliberate idealization matching the roll semantics of the scoring path.
 
-Datasets are text files. ``read_dataset`` walks the sample headers and
-parses each T x d value or mask block with one numpy call, then checks the
-whole block at once (row width, finite values, mask entries in {0, 1}). Only
-a block that fails is read again line by line, to name its first bad line.
+Datasets are text files. ``read_dataset`` reads a file one block at a time:
+it walks the sample headers and parses each T x d value or mask block with
+one numpy call, then checks the whole block at once (row width, finite
+values, mask entries in {0, 1}). Only a block that fails is parsed again
+line by line, to name its first bad line.
 """
 
 from __future__ import annotations
@@ -54,6 +55,17 @@ class SeriesSample:
                 == [tuple(p) for p in other.planted_lags])
 
 
+def planted_fault(src: int, dst: int, lag: int, weight: float, t: int, d: int):
+    """What is wrong with a planted-lag record of a T x d dataset, or None."""
+    if not (0 <= src < d and 0 <= dst < d):
+        return f"planted features ({src}, {dst}) outside [0, {d})"
+    if not 1 <= lag <= t - 1:
+        return f"planted lag {lag} outside [1, {t - 1}]"
+    if not math.isfinite(weight):
+        return f"planted weight {weight} is not finite"
+    return None
+
+
 @dataclass
 class DatasetSpec:
     task: str = "imputation"
@@ -79,11 +91,9 @@ class DatasetSpec:
         if self.task == "classification" and self.n_classes < 1:
             raise DatasetSpecError(f"n_classes = {self.n_classes} must be at least 1")
         for src, dst, lag, w in self.planted_lags:
-            if not 1 <= lag <= self.t - 1:
-                raise DatasetSpecError(f"planted lag {lag} outside [1, {self.t - 1}]")
-            if not (0 <= src < self.d and 0 <= dst < self.d):
-                raise DatasetSpecError(f"planted features ({src}, {dst}) outside "
-                                       f"[0, {self.d})")
+            fault = planted_fault(src, dst, lag, w, self.t, self.d)
+            if fault:
+                raise DatasetSpecError(fault)
 
 
 def _base_feature(rng, t: int, ar_coef: float, sin_amp: float) -> np.ndarray:
@@ -249,95 +259,109 @@ def _fault(block, width: int, what: str, binary: bool):
 def read_dataset(path) -> tuple:
     """Returns (samples, task). Raises DatasetParseError with the offending
     line number on malformed input."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
 
     def fail(lineno, msg):
         raise DatasetParseError(f"{path}:{lineno + 1}: {msg}")
 
-    if not lines or lines[0] != DATASET_TAG:
-        fail(0, f"bad or missing format tag (expected {DATASET_TAG!r})")
-    header = lines[1].split() if len(lines) > 1 else []
-    if len(header) != 8 or header[0] != "T" or header[2] != "d" \
-            or header[4] != "task" or header[6] != "samples":
-        fail(1, "malformed header: expected 'T <t> d <d> task <task> samples <n>'")
-    try:
-        t, d, n = int(header[1]), int(header[3]), int(header[7])
-    except ValueError:
-        fail(1, "header fields T/d/samples must be integers")
-    task = header[5]
+    with open(path) as fh:
+        # the file is read a block at a time: only the lines of the block
+        # being parsed are held
+        stream = (line.rstrip("\n") for line in fh)
+        ln = 0                  # number of the next line
 
-    def read_block(rows, dtype, what, binary=False):
-        """The next ``rows`` lines of ``d`` values each, parsed as one block;
-        only a bad block is read again line by line, to name its first bad
-        line."""
-        nonlocal ln
-        block = _parse_rows(lines[ln:ln + rows], dtype)
-        if block is not None and len(block) == rows \
-                and _fault(block, d, what, binary) is None:
-            ln += rows
-            return block
-        good = []
-        for _ in range(rows):
-            if ln >= len(lines):
-                fail(len(lines) - 1, f"unexpected end of file in {what}")
-            row = _parse_rows([lines[ln]], dtype)
-            if row is None:
-                fail(ln, f"non-numeric value in {what}")
-            fault = _fault(row, d, what, binary)
-            if fault:
-                fail(ln, fault)
-            good.append(row[0])
-            ln += 1
-        return np.array(good)
+        def take(count):
+            """The next ``count`` lines, fewer at the end of the file."""
+            nonlocal ln
+            got = list(itertools.islice(stream, count))
+            ln += len(got)
+            return got
 
-    samples = []
-    ln = 2
-    for i in range(n):
-        if ln >= len(lines):
-            fail(len(lines) - 1, f"unexpected end of file before sample {i}")
-        head = lines[ln].split()
-        if len(head) != 10 or head[0] != "sample":
-            fail(ln, "malformed sample header")
-        has_mask, label_s, has_flags, n_planted = head[3], head[5], head[7], head[9]
+        first = take(2)
+        if not first or first[0] != DATASET_TAG:
+            fail(0, f"bad or missing format tag (expected {DATASET_TAG!r})")
+        header = first[1].split() if len(first) > 1 else []
+        if len(header) != 8 or header[0] != "T" or header[2] != "d" \
+                or header[4] != "task" or header[6] != "samples":
+            fail(1, "malformed header: expected 'T <t> d <d> task <task> samples <n>'")
         try:
-            has_mask = bool(int(has_mask))
-            has_flags = bool(int(has_flags))
-            n_planted = int(n_planted)
-            label = None if label_s == "-" else int(label_s)
+            t, d, n = int(header[1]), int(header[3]), int(header[7])
         except ValueError:
-            fail(ln, "sample header flags and label must be integers")
-        if label is not None and label < 0:
-            fail(ln, f"sample label {label} is negative")
-        ln += 1
-        planted = []
-        for _ in range(n_planted):
-            if ln >= len(lines):
-                fail(len(lines) - 1, "unexpected end of file in planted lags")
-            parts = lines[ln].split()
-            if len(parts) != 4:
-                fail(ln, "planted lag record needs 'src dst lag weight'")
-            try:
-                planted.append((int(parts[0]), int(parts[1]), int(parts[2]),
-                                float(parts[3])))
-            except ValueError:
-                fail(ln, "planted lag record needs integer src dst lag and a "
-                     "numeric weight")
-            ln += 1
+            fail(1, "header fields T/d/samples must be integers")
+        task = header[5]
 
-        values = read_block(t, np.float64, "values")
-        mask = read_block(t, np.int64, "mask", binary=True) if has_mask else None
-        flags = None
-        if has_flags:
-            flags = _parse_rows(lines[ln:ln + 1], np.int64)
-            if flags is None:
-                fail(ln, "malformed anomaly flags")
-            flags = flags[0]
-            if flags.size != t:
-                fail(ln, f"anomaly flags have {flags.size} entries, expected {t}")
-            if ((flags != 0) & (flags != 1)).any():
-                fail(ln, "anomaly flag outside {0, 1}")
-            ln += 1
-        samples.append(SeriesSample(values=values, mask=mask, label=label,
-                                    anomaly_flags=flags, planted_lags=planted))
+        def read_block(rows, dtype, what, binary=False):
+            """The next ``rows`` lines of ``d`` values each, parsed as one
+            block; only a bad block is parsed again line by line, to name its
+            first bad line."""
+            start, text = ln, take(rows)
+            block = _parse_rows(text, dtype)
+            if block is not None and len(block) == rows \
+                    and _fault(block, d, what, binary) is None:
+                return block
+            good = []
+            for i, row_text in enumerate(text):
+                row = _parse_rows([row_text], dtype)
+                if row is None:
+                    fail(start + i, f"non-numeric value in {what}")
+                fault = _fault(row, d, what, binary)
+                if fault:
+                    fail(start + i, fault)
+                good.append(row[0])
+            if len(text) < rows:
+                fail(ln - 1, f"unexpected end of file in {what}")
+            return np.array(good)
+
+        samples = []
+        for i in range(n):
+            got = take(1)
+            if not got:
+                fail(ln - 1, f"unexpected end of file before sample {i}")
+            head = got[0].split()
+            if len(head) != 10 or head[0] != "sample":
+                fail(ln - 1, "malformed sample header")
+            has_mask, label_s, has_flags, n_planted = head[3], head[5], head[7], head[9]
+            try:
+                has_mask = bool(int(has_mask))
+                has_flags = bool(int(has_flags))
+                n_planted = int(n_planted)
+                label = None if label_s == "-" else int(label_s)
+            except ValueError:
+                fail(ln - 1, "sample header flags and label must be integers")
+            if label is not None and label < 0:
+                fail(ln - 1, f"sample label {label} is negative")
+            planted = []
+            for _ in range(n_planted):
+                got = take(1)
+                if not got:
+                    fail(ln - 1, "unexpected end of file in planted lags")
+                parts = got[0].split()
+                if len(parts) != 4:
+                    fail(ln - 1, "planted lag record needs 'src dst lag weight'")
+                try:
+                    src, dst, lag, weight = (int(parts[0]), int(parts[1]),
+                                             int(parts[2]), float(parts[3]))
+                except ValueError:
+                    fail(ln - 1, "planted lag record needs integer src dst lag and "
+                         "a numeric weight")
+                fault = planted_fault(src, dst, lag, weight, t, d)
+                if fault:
+                    fail(ln - 1, fault)
+                planted.append((src, dst, lag, weight))
+
+            values = read_block(t, np.float64, "values")
+            mask = read_block(t, np.int64, "mask", binary=True) if has_mask else None
+            flags = None
+            if has_flags:
+                got = take(1)
+                here = ln - len(got)        # past the last line at the end
+                flags = _parse_rows(got, np.int64)
+                if flags is None:
+                    fail(here, "malformed anomaly flags")
+                flags = flags[0]
+                if flags.size != t:
+                    fail(here, f"anomaly flags have {flags.size} entries, expected {t}")
+                if ((flags != 0) & (flags != 1)).any():
+                    fail(here, "anomaly flag outside {0, 1}")
+            samples.append(SeriesSample(values=values, mask=mask, label=label,
+                                        anomaly_flags=flags, planted_lags=planted))
     return samples, task

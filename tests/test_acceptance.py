@@ -7,6 +7,7 @@ of every criterion is visible in plain pytest output.
 
 import json
 import statistics
+import time
 
 import numpy as np
 import pytest
@@ -82,18 +83,22 @@ def test_c1_oracle_equivalence(report):
 
 def test_c2_gradient_suite(report):
     """Analytic vs central-difference gradients for every learnable
-    parameter of a one-block model, 1e-4 relative at step 1e-5."""
+    parameter of a one-block model on a batch of two samples (one chunk),
+    1e-4 relative at step 1e-5."""
     cfg = M.RunConfig(task="imputation", d_in=3, d_model=4, d_k=4,
                       h=2, m=1, n_blocks=1, temporal="destat")
     params = M.init_params(cfg, seed=1)
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(8, 3))
-    mask = (rng.random((8, 3)) > 0.3).astype(int)
-    sample = (x * mask, x, mask, None)
+    batch = []
+    for _ in range(2):
+        x = rng.normal(size=(8, 3))
+        mask = (rng.random((8, 3)) > 0.3).astype(int)
+        batch.append((x * mask, x, mask, None))
+    assert M.chunk_size(cfg, 8) >= len(batch)
 
     def f(ps):
         zero_grads(ps)
-        return M.batch_loss_and_grad([sample], ps, cfg)
+        return M.batch_loss_and_grad(batch, ps, cfg)
 
     result = check_gradient(f, params, step=1e-5, tolerance=1e-4)
     bad = [e.name for e in result.failures()]
@@ -165,6 +170,17 @@ def test_c4_endpoint_identities(report):
            "all three exact" if ok else "failed: " + ", ".join(detail))
 
 
+def _median_time(fn, reps: int, warmup: int) -> float:
+    for _ in range(warmup):
+        fn()
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
 def test_c5_complexity_scaling(report):
     """Naive-path doubling ratio in [3, 6]; FFT ratio strictly smaller;
     FFT strictly faster than naive at T=1536."""
@@ -181,7 +197,7 @@ def test_c5_complexity_scaling(report):
     for _ in range(5):
         for t, (q, k) in zip(grid, inputs):
             for path in paths:
-                took = cli._median_time(lambda: path(q, k), reps=5, warmup=1)
+                took = _median_time(lambda: path(q, k), reps=5, warmup=1)
                 best[t, path] = min(best.get((t, path), took), took)
     naive_t = [best[t, xcorr_all_lags_naive] for t in grid]
     fft_t = [best[t, xcorr_all_lags_fft] for t in grid]

@@ -115,6 +115,18 @@ class TestTrainEval:
         assert run_cli(["eval", "--data", str(toy_dataset),
                         "--checkpoint", str(ckpt)]) == cli.EXIT_FILE
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_eval_nonfinite_checkpoint_exit(self, toy_dataset, tmp_path, capsys, value):
+        ckpt = tmp_path / "model.ckpt"
+        assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST,
+                        "--checkpoint", str(ckpt)]) == 0
+        text = ckpt.read_text()
+        start = re.search(r"^head\.w .*\n", text, re.M).end()   # its first value
+        ckpt.write_text(text[:start] + value + text[text.index(",", start):])
+        assert run_cli(["eval", "--data", str(toy_dataset),
+                        "--checkpoint", str(ckpt)]) == cli.EXIT_FILE
+        assert "non-finite value for head.w" in capsys.readouterr().err
+
     def test_eval_reads_only_the_test_split(self, toy_dataset, tmp_path, capsys):
         ckpt = tmp_path / "model.ckpt"
         assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST,
@@ -182,8 +194,9 @@ def _length_one(prefix):
     for name in ("train", "val", "test"):
         samples, task = read_dataset(f"{prefix}.{name}")
         S.write_dataset(f"{prefix}.{name}", [
-            S.SeriesSample(values=s.values[:1], mask=s.mask[:1],
-                           planted_lags=s.planted_lags) for s in samples], task=task)
+            # no planted lag fits a series of length 1
+            S.SeriesSample(values=s.values[:1], mask=s.mask[:1]) for s in samples],
+            task=task)
 
 
 def _wider_val(prefix):
@@ -220,9 +233,10 @@ class TestTooLittleData:
         (["--noise", "nan"], cli.EXIT_USAGE),
         (["--noise", "-0.1"], cli.EXIT_USAGE),
         (["--task", "anomaly", "--anomaly-magnitude", "inf"], cli.EXIT_USAGE),
+        (["--lags", "0:1:7@nan"], cli.EXIT_USAGE),
     ], ids=["t1", "samples0", "samples2", "samples3", "samples4", "lag-30",
             "mask-ratio-0", "anomaly-count-40", "d0", "classes0", "noise-nan",
-            "noise-negative", "anomaly-magnitude-inf"])
+            "noise-negative", "anomaly-magnitude-inf", "weight-nan"])
     def test_gen_data(self, tmp_path, capsys, flags, code):
         out = tmp_path / "tiny"
         args = gen_args(out, t=24, d=3) + flags
@@ -307,15 +321,6 @@ class TestAblationPresets:
         assert presets == set(cli.ABLATION_PRESETS)
 
 
-class TestBench:
-    def test_small_grid(self, capsys):
-        assert run_cli(["bench", "--t-list", "32,64", "--d-list", "2",
-                        "--reps", "2", "--warmup", "1"]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out[0] == "T,d_k,naive_s,fft_s,cab_fwd_s"
-        assert len(out) == 3
-
-
 class TestConfigFile:
     def test_roundtrip(self, tmp_path):
         cfg = cli.RunConfig(h=4, m=2, lr=0.01, task="anomaly")
@@ -354,6 +359,9 @@ class TestRunConfig:
         (["--batch", "0"], None, cli.EXIT_USAGE),
         (["--d-k", "0"], None, cli.EXIT_USAGE),
         (["--lr", "-1"], None, cli.EXIT_USAGE),
+        (["--lr", "nan"], None, cli.EXIT_USAGE),
+        (["--lr", "inf"], None, cli.EXIT_USAGE),
+        ([], "tau_init = inf\n", cli.EXIT_USAGE),
         ([], "d_ff = 64\n", cli.EXIT_USAGE),  # derived from d_model, not a key
         ([], "cab = Ture\n", cli.EXIT_USAGE),
         (["--model", "nonstationary", "--temporal", "self"], None, cli.EXIT_USAGE),
@@ -361,7 +369,8 @@ class TestRunConfig:
         (["--model", "nonstationary", "--temporal", "destat"], None, 0),
         (["--lr", "1e9"], None, cli.EXIT_NUMERICAL),  # tau collapses to 0
     ], ids=["m>h", "non-numeric", "beta_init", "beta_init-pure", "lambda_init",
-            "tau_init", "temporal", "epochs", "batch", "d_k", "lr", "d_ff",
+            "tau_init", "temporal", "epochs", "batch", "d_k", "lr", "lr-nan", "lr-inf",
+            "tau_init-inf", "d_ff",
             "bool", "nonstationary-self", "transformer-destat",
             "nonstationary-destat", "lr-huge"])
     def test_config_errors_exit_usage(self, toy_dataset, tmp_path, capsys,

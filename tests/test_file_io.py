@@ -3,16 +3,20 @@
 ``read_dataset`` and ``load_checkpoint`` parse each block of numbers with one
 numpy call. The oracles below are the per-value parsers they replaced (one
 ``float``/``int`` call per value, checks row by row), with the range checks
-the block reader added (negative labels, mask and anomaly-flag entries outside
-{0, 1}) at the same place in the walk. A fuzz mutates valid files and
+the readers added (negative labels, mask and anomaly-flag entries outside
+{0, 1}, planted-lag records outside the series, non-finite checkpoint
+values) at the same place in the walk. A fuzz mutates valid files and
 requires that both sides accept the same inputs, return bitwise-equal
 arrays, and name the same line when they reject.
 
 The two sides differ only on spellings the writers never produce: Python's
 ``float``/``int`` accept underscores (``1_0``) and non-ASCII digits (``١``),
-which numpy rejects, and an integer beyond int64 in a mask or flag entry is
+which numpy rejects, an integer beyond int64 in a mask or flag entry is
 non-numeric to numpy but out of range to the oracle (same line, other
-message). ``TestKnownDifferences`` pins each; the fuzz draws none of them.
+message), and ``read_dataset`` reads its file line by line, so only ``\n``,
+``\r\n`` and ``\r`` end a line, where the oracle's ``str.splitlines`` also
+splits at a form feed and other separators. ``TestKnownDifferences`` pins
+each; the fuzz draws none of them.
 
 The writers are pinned by digests recorded from the per-value writer: the
 files of a small ``gen-data`` run per task and one checkpoint. They depend on
@@ -93,11 +97,18 @@ def oracle_read_dataset(path) -> tuple:
             if len(parts) != 4:
                 fail(ln, "planted lag record needs 'src dst lag weight'")
             try:
-                planted.append((int(parts[0]), int(parts[1]), int(parts[2]),
-                                float(parts[3])))
+                src, dst, lag, weight = (int(parts[0]), int(parts[1]), int(parts[2]),
+                                         float(parts[3]))
             except ValueError:
                 fail(ln, "planted lag record needs integer src dst lag and a "
                      "numeric weight")
+            if not (0 <= src < d and 0 <= dst < d):
+                fail(ln, f"planted features ({src}, {dst}) outside [0, {d})")
+            if not 1 <= lag <= t - 1:
+                fail(ln, f"planted lag {lag} outside [1, {t - 1}]")
+            if not math.isfinite(weight):
+                fail(ln, f"planted weight {weight} is not finite")
+            planted.append((src, dst, lag, weight))
             ln += 1
 
         def read_block(rows, cast, what):
@@ -173,6 +184,9 @@ def oracle_load_checkpoint(path) -> dict:
         if vals.size != expected:
             raise M.CheckpointError(f"{path}: {name} expected {expected} values, "
                                     f"got {vals.size}")
+        if not all(map(math.isfinite, vals)):
+            raise M.CheckpointError(f"{path}: non-finite value for {name} at "
+                                    f"line {i + 2}")
         out[name] = vals.reshape(shape)
         i += 2
     return out
@@ -342,6 +356,17 @@ class TestKnownDifferences:
         with pytest.raises(M.CheckpointError, match="non-numeric value for w at line 3"):
             M.load_checkpoint(path)
 
+    def test_form_feed(self, tmp_path):
+        path = tmp_path / "x.data"
+        write_dataset(path, dataset_samples("imputation"), task="imputation")
+        lines = path.read_text().splitlines()
+        lines[4] = lines[4].replace(",", "\x0c", 1)   # sample 0, values row 0
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetParseError, match=":5: values row has 1 values"):
+            oracle_read_dataset(path)
+        with pytest.raises(DatasetParseError, match=":5: non-numeric value in values"):
+            read_dataset(path)
+
     def test_mask_beyond_int64(self, tmp_path):
         samples = dataset_samples("imputation")
         path = tmp_path / "x.data"
@@ -353,6 +378,30 @@ class TestKnownDifferences:
             oracle_read_dataset(path)
         with pytest.raises(DatasetParseError, match=":10: non-numeric value in mask"):
             read_dataset(path)
+
+
+class TestPlantedRecords:
+    """A planted-lag record must name features of the series, a lag in
+    [1, T - 1] and a finite weight (T = 5, d = 3 here)."""
+
+    @pytest.mark.parametrize("record, message", [
+        ("3 1 2 0.9", r"planted features \(3, 1\) outside \[0, 3\)"),
+        ("0 -1 2 0.9", r"planted features \(0, -1\) outside \[0, 3\)"),
+        ("0 1 0 0.9", r"planted lag 0 outside \[1, 4\]"),
+        ("0 1 5 0.9", r"planted lag 5 outside \[1, 4\]"),
+        ("0 1 2 nan", "planted weight nan is not finite"),
+        ("0 1 2 -inf", "planted weight -inf is not finite"),
+    ], ids=["src", "dst", "lag-0", "lag-T", "nan", "inf"])
+    def test_rejected_naming_line(self, tmp_path, record, message):
+        path = tmp_path / "x.data"
+        write_dataset(path, dataset_samples("imputation"), task="imputation")
+        lines = path.read_text().splitlines()
+        assert lines[3] == "0 1 2 0.9"          # sample 0's one record
+        lines[3] = record
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetParseError, match=":4: " + message):
+            read_dataset(path)
+        assert_same_dataset(path)
 
 
 # ---------------------------------------------------------------------------

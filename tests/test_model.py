@@ -7,7 +7,7 @@ import pytest
 
 from lagattn import attention as A
 from lagattn import model as M
-from lagattn.numerics import check_gradient, zero_grads
+from lagattn.numerics import check_gradient, sigmoid, softplus, zero_grads
 from lagattn.synthdata import (
     DatasetSpec,
     apply_mask,
@@ -110,9 +110,234 @@ class TestHeadStacks:
         M.model_forward(rand((24, 8), 30), params, cfg)
         assert calls == {"correlated_attention_fwd": 2, f"{temporal_fn}_fwd": 2}
         calls.clear()
-        M.sample_loss_and_grad(toy_sample(t=24, d=8), params, cfg)
+        M.batch_loss_and_grad([toy_sample(t=24, d=8)], params, cfg)
         assert calls == {f"{n}_{way}": 2 for n in ("correlated_attention", temporal_fn)
                          for way in ("fwd", "bwd")}
+
+
+# ---------------------------------------------------------------------------
+# per-sample oracle: the model one sample at a time, as it ran before chunks
+
+
+def loop_forward(x, params, cfg):
+    """One T x d sample through the model; returns (prediction, cache)."""
+    t = x.shape[0]
+    xp, stats = M.stationarize(x)
+    xi, delta, destat = 1.0, np.zeros(t), None
+    if cfg.temporal == "destat" and cfg.n_temporal > 0:
+        stats_vec = np.concatenate([stats.mu, stats.sigma])[None, :]
+        xi_pre, xi_cache = M._mlp2_fwd(stats_vec, *(params[f"destat.xi.{n}"].value
+                                                     for n in ("w1", "b1", "w2", "b2")))
+        xi = float(softplus(xi_pre[0, 0]))
+        delta_out, delta_cache = M._mlp2_fwd(x, *(params[f"destat.delta.{n}"].value
+                                                  for n in ("w1", "b1", "w2", "b2")))
+        delta = delta_out[:, 0]
+        destat = (xi_pre[0, 0], xi_cache, delta_cache)
+    hrep = xp @ params["embed.w"].value
+    if cfg.positional == "sin":
+        hrep = hrep + M._positional_encoding(t, cfg.d_model)
+    scalars = M._cab_scalars(cfg)
+    cab = A.CabOptions(c=cfg.c, use_fft=cfg.lag_path == "fft",
+                       filtering=cfg.filtering_enabled, soft=cfg.lambda_mode == "learnable")
+    blocks = []
+    for b in range(cfg.n_blocks):
+        heads = []
+        for i in range(cfg.h):
+            kind, pre = cfg.head_kind(i), f"block{b}.head{i}"
+            raw = ({name: float(params[f"{pre}.{name}"].value) if on else fixed
+                    for name, (fixed, on) in scalars.items()}
+                   if kind == "correlated" else None)
+            heads.append(A.HeadSpec(kind, params[f"{pre}.w_q"].value,
+                                    params[f"{pre}.w_k"].value,
+                                    params[f"{pre}.w_v"].value, raw))
+        mix = A.MixtureWeights(heads=heads, w_o=params[f"block{b}.w_o"].value,
+                               xi=xi, delta=delta, cab=cab)
+        attn_out, attn_cache = A.mixture_of_head_fwd(hrep, mix)
+        r1, ln1 = M._layernorm_fwd(hrep + attn_out, params[f"block{b}.ln1.gain"].value,
+                                   params[f"block{b}.ln1.bias"].value)
+        z1 = r1 @ params[f"block{b}.ff.w1"].value + params[f"block{b}.ff.b1"].value
+        a1 = np.maximum(z1, 0.0)
+        ff_out = a1 @ params[f"block{b}.ff.w2"].value + params[f"block{b}.ff.b2"].value
+        hrep, ln2 = M._layernorm_fwd(r1 + ff_out, params[f"block{b}.ln2.gain"].value,
+                                     params[f"block{b}.ln2.bias"].value)
+        blocks.append((attn_cache, ln1, r1, z1, a1, ln2))
+    if cfg.task == "classification":
+        pred = hrep.mean(axis=0) @ params["head.w"].value + params["head.b"].value
+    else:
+        pred = M.destationarize(hrep @ params["head.w"].value + params["head.b"].value,
+                                stats)
+    return pred, (xp, stats, hrep, blocks, destat, t)
+
+
+def loop_backward(dpred, cache, params, grads, cfg):
+    """Adds one sample's parameter gradients into ``grads`` (name -> array)."""
+    xp, stats, hrep, blocks, destat, t = cache
+
+    def val(name):
+        return params[name].value
+
+    if cfg.task == "classification":
+        dh = np.repeat(dpred[None, :] @ val("head.w").T, t, axis=0) / t
+        grads["head.w"] += np.outer(hrep.mean(axis=0), dpred)
+        grads["head.b"] += dpred
+    else:
+        drecon = dpred * stats.sigma
+        dh = drecon @ val("head.w").T
+        grads["head.w"] += hrep.T @ drecon
+        grads["head.b"] += drecon.sum(axis=0)
+    dxi, ddelta = 0.0, np.zeros(t)
+    for b in reversed(range(cfg.n_blocks)):
+        attn_cache, ln1, r1, z1, a1, ln2 = blocks[b]
+        dr2, dg, db = M._layernorm_bwd(ln2, dh)
+        grads[f"block{b}.ln2.gain"] += dg
+        grads[f"block{b}.ln2.bias"] += db
+        grads[f"block{b}.ff.w2"] += a1.T @ dr2
+        grads[f"block{b}.ff.b2"] += dr2.sum(axis=0)
+        dz1 = (dr2 @ val(f"block{b}.ff.w2").T) * (z1 > 0.0)
+        grads[f"block{b}.ff.w1"] += r1.T @ dz1
+        grads[f"block{b}.ff.b1"] += dz1.sum(axis=0)
+        dr1, dg, db = M._layernorm_bwd(ln1, dr2 + dz1 @ val(f"block{b}.ff.w1").T)
+        grads[f"block{b}.ln1.gain"] += dg
+        grads[f"block{b}.ln1.bias"] += db
+        dx, head_grads, dw_o, dxi_b, ddelta_b = A.mixture_of_head_bwd(attn_cache, dr1)
+        grads[f"block{b}.w_o"] += dw_o
+        dxi += dxi_b
+        if ddelta_b is not None:
+            ddelta += ddelta_b
+        for i, hg in enumerate(head_grads):
+            for name, g in hg.items():
+                if f"block{b}.head{i}.{name}" in grads:
+                    grads[f"block{b}.head{i}.{name}"] += g
+        dh = dr1 + dx
+    grads["embed.w"] += xp.T @ dh
+    if destat is not None:
+        xi_pre, xi_cache, delta_cache = destat
+        _, *gs = M._mlp2_bwd(xi_cache, np.array([[dxi * float(sigmoid(xi_pre))]]))
+        for name, g in zip(("w1", "b1", "w2", "b2"), gs):
+            grads[f"destat.xi.{name}"] += g
+        _, *gs = M._mlp2_bwd(delta_cache, ddelta[:, None])
+        for name, g in zip(("w1", "b1", "w2", "b2"), gs):
+            grads[f"destat.delta.{name}"] += g
+
+
+def loop_loss_and_grad(batch, params, cfg):
+    """Mean loss and mean gradient over the batch, one sample at a time."""
+    grads = {name: np.zeros_like(p.value) for name, p in params.items()}
+    total = 0.0
+    for x, target, mask, label in batch:
+        pred, cache = loop_forward(x, params, cfg)
+        loss, dpred = (M.task_loss(pred, label, cfg.task) if cfg.task == "classification"
+                       else M.task_loss(pred, target, cfg.task, mask))
+        loop_backward(dpred, cache, params, grads, cfg)
+        total += loss
+    return total / len(batch), {name: g / len(batch) for name, g in grads.items()}
+
+
+def chunk_batch(task, n=3, t=12, d=3, seed=40):
+    rng = np.random.default_rng(seed)
+    batch = []
+    for i in range(n):
+        x = rng.normal(size=(t, d)) * (1.0 + i) + i     # unlike scales and means
+        if task == "imputation":
+            mask = (rng.random((t, d)) > 0.3).astype(int)
+            mask[i, 0] = 0                               # every sample hides one
+            batch.append((x * mask, x, mask, None))
+        elif task == "anomaly":
+            batch.append((x, x + 0.1 * rng.normal(size=(t, d)), None,
+                          (rng.random(t) > 0.8).astype(int)))
+        else:
+            batch.append((x, None, None, i % 3))
+    return batch
+
+
+CHUNK_CASES = {
+    "self": dict(),
+    "destat": dict(temporal="destat"),
+    "anomaly": dict(task="anomaly"),
+    "classification": dict(task="classification", n_classes=3),
+    "classification-destat": dict(task="classification", n_classes=3,
+                                  temporal="destat"),
+    "filtering-off": dict(filtering_enabled=False, beta_learnable=False),
+    "soft": dict(lambda_mode="learnable"),
+    "sin": dict(positional="sin"),
+    "two-blocks": dict(n_blocks=2, temporal="destat", lambda_mode="learnable"),
+    "cab-off": dict(cab=False, temporal="destat"),
+}
+
+
+def assert_close(got, want, tol=1e-12):
+    assert np.shape(got) == np.shape(want)
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    assert np.abs(np.asarray(got) - want).max(initial=0.0) <= tol * scale
+
+
+class TestChunks:
+    """A chunk of samples against the per-sample oracle: every output, the
+    loss and every parameter gradient within 1e-12."""
+
+    @pytest.mark.parametrize("case", list(CHUNK_CASES))
+    def test_chunk_matches_per_sample(self, case):
+        cfg = toy_config(h=4, m=2, **CHUNK_CASES[case])
+        params = M.init_params(cfg, seed=11)
+        batch = chunk_batch(cfg.task)
+        assert M.chunk_size(cfg, 12) >= len(batch)      # one chunk
+        preds, _ = M.model_forward(np.stack([s[0] for s in batch]), params, cfg)
+        for pred, sample in zip(preds, batch):
+            assert_close(pred, loop_forward(sample[0], params, cfg)[0])
+        loss = M.batch_loss_and_grad(batch, params, cfg)
+        want_loss, want_grads = loop_loss_and_grad(batch, params, cfg)
+        assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
+        for name, p in params.items():
+            assert_close(p.grad, want_grads[name])
+        assert abs(M.evaluate_loss(batch, params, cfg) - want_loss) <= 1e-12
+
+    def test_chunks_split_evenly(self, monkeypatch):
+        cfg = toy_config()
+        batch = chunk_batch("imputation", n=8)
+        monkeypatch.setattr(M, "chunk_size", lambda cfg, t: 7)
+        sizes = [len(chunk[0]) for chunk in M._chunks(batch, cfg)]
+        assert sizes == [4, 4]
+        monkeypatch.setattr(M, "chunk_size", lambda cfg, t: 3)
+        sizes = [len(chunk[0]) for chunk in M._chunks(batch, cfg)]
+        assert sizes == [2, 3, 3]
+        monkeypatch.undo()
+        # several chunks make the same mean loss and gradient as one
+        params = M.init_params(cfg, seed=12)
+        loss = M.batch_loss_and_grad(batch, params, cfg)
+        grads = {name: p.grad.copy() for name, p in params.items()}
+        monkeypatch.setattr(M, "chunk_size", lambda cfg, t: 3)
+        assert abs(M.batch_loss_and_grad(batch, params, cfg) - loss) <= 1e-12
+        for name, p in params.items():
+            assert_close(p.grad, grads[name])
+
+    @pytest.mark.parametrize("shape, size", [
+        (dict(d_model=16, d_k=8, h=2, m=1), 7),          # bench toy, T = 96
+        (dict(d_model=16, d_k=8, h=16, m=8), 1),         # bench ref
+        (dict(d_model=16, d_k=8, h=4, m=1, temporal="destat"), 1),   # at T = 512
+    ], ids=["toy", "ref", "long"])
+    def test_chunk_size(self, shape, size):
+        t = 512 if shape.get("temporal") == "destat" else 96
+        assert M.chunk_size(toy_config(**shape), t) == size
+
+    def test_collapsed_temperature_names_head_in_chunk(self):
+        cfg = toy_config(h=4, m=2)
+        params = M.init_params(cfg, seed=13)
+        params["block0.head3.tau_raw"].value[...] = -1e9
+        x = np.stack([s[0] for s in chunk_batch("imputation")])
+        with pytest.raises(M.ParameterError, match=r"^block0\.head3\.tau_raw: "):
+            M.model_forward(x, params, cfg)
+
+    def test_one_mixture_call_per_chunk(self, monkeypatch):
+        cfg = toy_config(n_blocks=2)
+        params = M.init_params(cfg, seed=14)
+        calls = collections.Counter()
+        for name in ("mixture_of_head_fwd", "mixture_of_head_bwd"):
+            def counted(*args, _fn=getattr(M, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(M, name, counted)
+        M.batch_loss_and_grad(chunk_batch("imputation", n=5), params, cfg)
+        assert calls == {"mixture_of_head_fwd": 2, "mixture_of_head_bwd": 2}
 
 
 class TestParamRegistry:
@@ -316,7 +541,9 @@ class TestCheckpoint:
         ("embed.w 2 2 x\n1.0,2.0,3.0,4.0\n", "line 2"),
         ("embed.w 2 -2 -2\n1.0,2.0,3.0,4.0\n", "line 2"),
         ("embed.w 2 2 2\n1.0,2.0,oops,4.0\n", "line 3"),
-    ], ids=["ndim", "dim", "negative-dim", "value"])
+        ("embed.w 2 2 2\n1.0,nan,3.0,4.0\n", "non-finite value for embed.w at line 3"),
+        ("embed.w 2 2 2\n1.0,2.0,3.0,-inf\n", "non-finite value for embed.w at line 3"),
+    ], ids=["ndim", "dim", "negative-dim", "value", "nan", "inf"])
     def test_malformed_entry_names_line(self, tmp_path, entry, line):
         path = tmp_path / "bad.ckpt"
         path.write_text(M.CHECKPOINT_TAG + "\n" + entry)
