@@ -8,8 +8,8 @@ takes one T x d_model sample or a B x T x d_model chunk of samples and runs
 a block's heads as two stacks: one fused projection x @ [W_q | W_k | W_v]
 for all h heads of every sample, then one temporal call on the B m heads
 [:m] and one correlated call on the B (h - m) heads [m:], each stack
-holding its heads sample after sample. Its backward splits the fused
-projection gradient back into per-head gradients, summed over the samples.
+holding its heads sample after sample. Its weights are stacked over the
+heads too, and so are their gradients, summed over the samples.
 
 Each mechanism comes as a ``*_fwd`` / ``*_bwd`` pair. Forward returns
 ``(output, cache)``; backward maps the output cotangent to cotangents of
@@ -21,7 +21,7 @@ a step: gradients flow through the recomputed per-lag matrices only.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -294,20 +294,18 @@ def correlated_attention(q, k, v, raw: dict, opts: CabOptions = CabOptions()):
 
 
 @dataclass
-class HeadSpec:
-    """One head's projections plus its mechanism."""
-
-    kind: str                    # "self" | "destat" | "correlated"
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    raw: dict | None = None      # correlated heads: scalars keyed like CAB_RAW
-
-
-@dataclass
 class MixtureWeights:
-    heads: list                  # temporal heads first, then correlated ones
-    w_o: np.ndarray
+    """A block's attention weights, stacked over its h heads: heads [:m] are
+    temporal (one kind), heads [m:] correlated."""
+
+    # d_model x 3 x h x d_k: [:, 0, i], [:, 1, i] and [:, 2, i] are head i's
+    # W_q, W_k and W_v, so its d_model x 3 h d_k view is [W_q | W_k | W_v]
+    w_qkv: np.ndarray
+    w_o: np.ndarray                  # h d_k x d_model
+    m: int
+    temporal: str = "self"           # "self" | "destat"
+    # correlated heads' scalars keyed like CAB_RAW: h - m values, or one float
+    raw: dict = field(default_factory=lambda: CAB_RAW)
     # de-stationary scalars, used by "destat" heads only: one xi and a
     # length-T delta per sample (a float and a vector for one sample)
     xi: float | np.ndarray = 1.0
@@ -315,34 +313,29 @@ class MixtureWeights:
     cab: CabOptions = CabOptions()   # shared by every correlated head
 
 
-# What mixture_of_head_bwd needs: the B x T x d_model input, the fused
-# projection, the number m of temporal heads and their kind, each stack's
-# cache, the concatenated head outputs ((B T) x h d_k) and whether the input
-# was one sample.
-MixCache = namedtuple("MixCache", "x mix w_qkv m temporal temporal_cache "
-                                  "cab_cache concat single")
+# What mixture_of_head_bwd needs: the B x T x d_model input, the weights, the
+# fused projection (d_model x 3 h d_k), each stack's cache, the concatenated
+# head outputs ((B T) x h d_k) and whether the input was one sample.
+MixCache = namedtuple("MixCache", "x mix w_qkv temporal_cache cab_cache concat single")
 
 
 def _validate_mixture(x, mix: MixtureWeights):
-    """Returns (m, temporal kind) of a mixture whose heads [:m] share one
-    temporal kind and whose heads [m:] are correlated."""
-    d_model, d_k = x.shape[-1], mix.heads[0].w_q.shape[1]
-    for i, h in enumerate(mix.heads):
-        if not h.w_q.shape == h.w_k.shape == h.w_v.shape == (d_model, d_k):
-            raise ShapeError(f"head {i}: projections must all be {d_model} x {d_k}")
-        if h.kind == "correlated" and h.raw is None:
-            raise ParameterError(f"head {i} is correlated but has no CAB scalars")
-        if h.kind not in ("self", "destat", "correlated"):
-            raise ParameterError(f"head {i}: unknown kind {h.kind!r}")
-    kinds = [h.kind for h in mix.heads]
-    m = sum(kind != "correlated" for kind in kinds)
-    if len(set(kinds[:m])) > 1 or "correlated" in kinds[:m]:
-        raise ParameterError(f"heads {kinds}: need one temporal kind, then the "
-                             "correlated heads")
-    if mix.w_o.shape != (len(mix.heads) * d_k, d_model):
-        raise ShapeError(f"w_o shape {mix.w_o.shape} != "
-                         f"({len(mix.heads) * d_k}, {d_model})")
-    return m, kinds[0] if m else None
+    """Returns (h, d_k) of a mixture whose stacked weights fit ``x``."""
+    d_model, w, m = x.shape[-1], mix.w_qkv, mix.m
+    if w.ndim != 4 or w.shape[:2] != (d_model, 3):
+        raise ShapeError(f"w_qkv shape {w.shape} != ({d_model}, 3, h, d_k)")
+    h, d_k = w.shape[2:]
+    if mix.w_o.shape != (h * d_k, d_model):
+        raise ShapeError(f"w_o shape {mix.w_o.shape} != ({h * d_k}, {d_model})")
+    if not 0 <= m <= h:
+        raise ParameterError(f"m = {m} must lie in [0, h = {h}]")
+    if m and mix.temporal not in ("self", "destat"):
+        raise ParameterError(f"unknown temporal kind {mix.temporal!r}")
+    for name in CAB_RAW if m < h else ():
+        if np.shape(mix.raw[name]) not in ((), (h - m,)):
+            raise ShapeError(f"{name} shape {np.shape(mix.raw[name])}: expected "
+                             f"one value per correlated head ({h - m},)")
+    return h, d_k
 
 
 def _fold(qkv):
@@ -360,11 +353,9 @@ def mixture_of_head_fwd(x, mix: MixtureWeights):
         raise ShapeError(f"expected a sample or a chunk of samples, got {x.shape}")
     single = x.ndim == 2
     x = x[None] if single else x
-    m, temporal = _validate_mixture(x, mix)
-    heads = mix.heads
-    (b, t, d_model), h, d_k = x.shape, len(heads), heads[0].w_q.shape[1]
-    w_qkv = np.concatenate([hd.w_q for hd in heads] + [hd.w_k for hd in heads]
-                           + [hd.w_v for hd in heads], axis=1)
+    h, d_k = _validate_mixture(x, mix)
+    (b, t, d_model), m = x.shape, mix.m
+    w_qkv = mix.w_qkv.reshape(d_model, -1)
     # strided 3 x B x h x T x d_k views of the fused projection: for one
     # sample a copy into head-major order would cost more than the products
     # that read them
@@ -373,42 +364,40 @@ def mixture_of_head_fwd(x, mix: MixtureWeights):
     outs, temporal_cache, cab_cache = [], None, None
     if m:
         q, k, v = _fold(qkv[:, :, :m])
-        if temporal == "self":
+        if mix.temporal == "self":
             out, temporal_cache = self_attention_fwd(q, k, v)
         else:
             out, temporal_cache = destationary_attention_fwd(q, k, v, mix.xi, mix.delta)
         outs.append(out.reshape(b, m, t, d_k))
     if m < h:
         # each sample's heads carry the heads' scalars
-        raw = {name: np.array([hd.raw[name] for hd in heads[m:]] * b, dtype=np.float64)
-               for name in CAB_RAW}
+        raw = {name: np.full((b, h - m), mix.raw[name]).reshape(-1) for name in CAB_RAW}
         out, cab_cache = correlated_attention_fwd(*_fold(qkv[:, :, m:]), raw, mix.cab)
         outs.append(out.reshape(b, h - m, t, d_k))
     concat = np.concatenate(outs, axis=1).transpose(0, 2, 1, 3).reshape(b * t, h * d_k)
     out = (concat @ mix.w_o).reshape(b, t, d_model)
-    return _unstack(single, out)[0], MixCache(x, mix, w_qkv, m, temporal,
-                                              temporal_cache, cab_cache, concat, single)
+    return _unstack(single, out)[0], MixCache(x, mix, w_qkv, temporal_cache,
+                                              cab_cache, concat, single)
 
 
 def mixture_of_head_bwd(cache, g):
-    """Returns (dx, head_grads, dw_o, dxi, ddelta).
+    """Returns (dx, dw_qkv, draw, dw_o, dxi, ddelta).
 
-    ``head_grads`` is one dict per head, keyed by the registry suffix of each
-    parameter: w_q, w_k, w_v and, for correlated heads, the ``CAB_RAW`` names;
-    each sums over the samples. ``dxi`` and ``ddelta`` have the shapes of the
-    mixture's xi and delta (0.0 and None without de-stationary heads).
+    ``dw_qkv`` has the shape of the mixture's w_qkv. ``draw`` maps each
+    ``CAB_RAW`` name to one gradient per correlated head (empty without
+    them); it and the weight gradients sum over the samples. ``dxi`` and
+    ``ddelta`` have the shapes of the mixture's xi and delta (0.0 and None
+    without de-stationary heads).
     """
     c = cache
-    (b, t, d_model), h, m = c.x.shape, len(c.mix.heads), c.m
+    (b, t, d_model), (h, d_k), m = c.x.shape, c.mix.w_qkv.shape[2:], c.mix.m
     g = g.reshape(b * t, d_model)
-    dheads = (g @ c.mix.w_o.T).reshape(b, t, h, -1).transpose(0, 2, 1, 3)
-    d_k = dheads.shape[-1]
+    dheads = (g @ c.mix.w_o.T).reshape(b, t, h, d_k).transpose(0, 2, 1, 3)
     # the gradient of the fused projection, written through head-major views
     dflat = np.empty((b * t, c.w_qkv.shape[1]))
     dqkv = dflat.reshape(b, t, 3, h, d_k).transpose(2, 0, 3, 1, 4)
-    head_grads = [{} for _ in range(h)]
-    dxi, ddelta = 0.0, None
-    if m and c.temporal == "self":
+    draw, dxi, ddelta = {}, 0.0, None
+    if m and c.mix.temporal == "self":
         dq, dk, dv = self_attention_bwd(c.temporal_cache,
                                         dheads[:, :m].reshape(-1, t, d_k))
     elif m:
@@ -420,14 +409,10 @@ def mixture_of_head_bwd(cache, g):
         dq, dk, dv, draw = correlated_attention_bwd(c.cab_cache,
                                                     dheads[:, m:].reshape(-1, t, d_k))
         dqkv[:, :, m:] = np.reshape((dq, dk, dv), (3, b, h - m, t, d_k))
-        for name, grads in draw.items():
-            for i, grad in enumerate(grads.reshape(b, h - m).sum(axis=0), start=m):
-                head_grads[i][name] = grad
-    dw = (c.x.reshape(b * t, d_model).T @ dflat).reshape(d_model, 3, h, d_k)
-    for i, grads in enumerate(head_grads):
-        grads.update(w_q=dw[:, 0, i], w_k=dw[:, 1, i], w_v=dw[:, 2, i])
+        draw = {name: grads.reshape(b, h - m).sum(axis=0) for name, grads in draw.items()}
+    dw_qkv = (c.x.reshape(b * t, d_model).T @ dflat).reshape(c.mix.w_qkv.shape)
     dx = (dflat @ c.w_qkv.T).reshape(b, t, d_model)
-    return _unstack(c.single, dx)[0], head_grads, c.concat.T @ g, dxi, ddelta
+    return _unstack(c.single, dx)[0], dw_qkv, draw, c.concat.T @ g, dxi, ddelta
 
 
 def mixture_of_head(x, mix: MixtureWeights):

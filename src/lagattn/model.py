@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .attention import (
+    CAB_RAW,
     CabOptions,
-    HeadSpec,
     MixtureWeights,
     mixture_of_head_bwd,
     mixture_of_head_fwd,
@@ -141,14 +141,12 @@ class RunConfig:
     def d_out(self) -> int:
         return self.n_classes if self.task == "classification" else self.d_in
 
-    def head_kind(self, i: int) -> str:
-        return self.temporal if i < self.n_temporal else "correlated"
-
 
 def _cab_scalars(cfg: RunConfig) -> dict:
     """Raw scalar name -> (value decoded from its init, learnable?) for every
-    correlated head. Learnable scalars get a registry entry per head; the rest
-    stay at the decoded value."""
+    correlated head. A learnable scalar gets one registry entry per block,
+    an array of one value per correlated head; the rest stay at the decoded
+    value."""
     return {
         "beta_raw": (sigmoid_inv(cfg.beta_init) if cfg.filtering_enabled else 0.0,
                      cfg.filtering_enabled and cfg.beta_learnable),
@@ -177,25 +175,27 @@ def count_params(cfg: RunConfig) -> int:
 
 
 def init_params(cfg: RunConfig, seed: int = 0) -> dict:
+    """The registry. A block's attention is stacked over its heads (see
+    attention.MixtureWeights): ``block{b}.w_qkv`` and ``block{b}.tau_raw``
+    (and ``beta_raw``, ``lambda_raw`` when learnable)."""
     rng = np.random.default_rng(seed)
 
-    def mat(name, rows, cols, scale=None):
-        scale = scale if scale is not None else 1.0 / math.sqrt(rows)
-        params[name] = Param(name, rng.normal(0.0, scale, size=(rows, cols)))
+    def mat(name, rows, cols):
+        params[name] = Param(name, rng.normal(0.0, 1.0 / math.sqrt(rows), (rows, cols)))
 
     params: dict = {}
-    scalars = _cab_scalars(cfg)
+    n_corr = cfg.h - cfg.n_temporal
     mat("embed.w", cfg.d_in, cfg.d_model)
     for b in range(cfg.n_blocks):
-        for i in range(cfg.h):
-            mat(f"block{b}.head{i}.w_q", cfg.d_model, cfg.d_k)
-            mat(f"block{b}.head{i}.w_k", cfg.d_model, cfg.d_k)
-            mat(f"block{b}.head{i}.w_v", cfg.d_model, cfg.d_k)
-            if cfg.head_kind(i) == "correlated":
-                for suffix, (raw, learnable) in scalars.items():
-                    if learnable:
-                        name = f"block{b}.head{i}.{suffix}"
-                        params[name] = Param(name, raw)
+        # the same numbers as drawing W_q, W_k, W_v of head 0, then of head
+        # 1, ..., one d_model x d_k matrix at a time
+        w_qkv = rng.normal(0.0, 1.0 / math.sqrt(cfg.d_model),
+                           (cfg.h, 3, cfg.d_model, cfg.d_k)).transpose(2, 1, 0, 3)
+        params[f"block{b}.w_qkv"] = Param(f"block{b}.w_qkv", np.ascontiguousarray(w_qkv))
+        for suffix, (raw, learnable) in _cab_scalars(cfg).items():
+            if learnable and n_corr:
+                name = f"block{b}.{suffix}"
+                params[name] = Param(name, np.full(n_corr, raw))
         mat(f"block{b}.w_o", cfg.h * cfg.d_k, cfg.d_model)
         for ln in ("ln1", "ln2"):
             params[f"block{b}.{ln}.gain"] = Param(f"block{b}.{ln}.gain", np.ones(cfg.d_model))
@@ -324,21 +324,11 @@ def model_forward(x, params: dict, cfg: RunConfig):
 
     block_caches = []
     for b in range(cfg.n_blocks):
-        heads = []
-        for i in range(cfg.h):
-            kind = cfg.head_kind(i)
-            prefix = f"block{b}.head{i}"
-            heads.append(HeadSpec(
-                kind=kind,
-                w_q=params[f"{prefix}.w_q"].value,
-                w_k=params[f"{prefix}.w_k"].value,
-                w_v=params[f"{prefix}.w_v"].value,
-                raw={name: float(params[f"{prefix}.{name}"].value) if on else fixed
-                     for name, (fixed, on) in scalars.items()}
-                if kind == "correlated" else None,
-            ))
-        mix = MixtureWeights(heads=heads, w_o=params[f"block{b}.w_o"].value,
-                             xi=xi, delta=delta, cab=cab)
+        raw = {name: params[f"block{b}.{name}"].value if f"block{b}.{name}" in params
+               else fixed for name, (fixed, _) in scalars.items()}
+        mix = MixtureWeights(params[f"block{b}.w_qkv"].value,
+                             params[f"block{b}.w_o"].value, cfg.n_temporal,
+                             cfg.temporal, raw, xi, delta, cab)
         try:
             attn_out, attn_cache = mixture_of_head_fwd(hrep.reshape(n, t, -1), mix)
         except ScalarRangeError as exc:
@@ -404,17 +394,16 @@ def model_backward(dpred, cache, params: dict, cfg: RunConfig):
         dr1_in, dg1, db1 = _layernorm_bwd(ln1_cache, dr1)
         params[f"block{b}.ln1.gain"].grad += dg1
         params[f"block{b}.ln1.bias"].grad += db1
-        dx_attn, head_grads, dw_o, dxi, ddelta = mixture_of_head_bwd(
+        dx_attn, dw_qkv, draw, dw_o, dxi, ddelta = mixture_of_head_bwd(
             attn_cache, dr1_in.reshape(n, t, -1))
+        params[f"block{b}.w_qkv"].grad += dw_qkv
         params[f"block{b}.w_o"].grad += dw_o
+        for name, grad in draw.items():
+            if f"block{b}.{name}" in params:    # fixed CAB scalars have no entry
+                params[f"block{b}.{name}"].grad += grad
         dxi_total += dxi
         if ddelta is not None:
             ddelta_total += ddelta
-        for i, grads in enumerate(head_grads):
-            for name, grad in grads.items():
-                p = params.get(f"block{b}.head{i}.{name}")
-                if p is not None:       # fixed CAB scalars have no entry
-                    p.grad += grad
         dh = dr1_in + dx_attn.reshape(n * t, -1)
 
     params["embed.w"].grad += xp.reshape(n * t, -1).T @ dh
@@ -704,11 +693,30 @@ class CheckpointError(ValueError):
     pass
 
 
+def _checkpoint_slots(params: dict):
+    """(checkpoint name, registry entry, index into its value) of every
+    checkpoint entry. A block's stacked attention is stored per head:
+    ``block{b}.head{i}.w_q`` (``w_k``, ``w_v``) is ``w_qkv[:, 0, i]`` (1, 2),
+    and ``block{b}.head{m + j}.tau_raw`` is ``block{b}.tau_raw[j]``."""
+    for name, p in params.items():
+        block, _, suffix = name.rpartition(".")
+        if suffix == "w_qkv":
+            for i in range(p.value.shape[2]):
+                for j, w in enumerate(("w_q", "w_k", "w_v")):
+                    yield f"{block}.head{i}.{w}", p, (slice(None), j, i)
+        elif suffix in CAB_RAW:
+            m = params[f"{block}.w_qkv"].value.shape[2] - p.value.size
+            for j in range(p.value.size):
+                yield f"{block}.head{m + j}.{suffix}", p, j
+        else:
+            yield name, p, ...
+
+
 def save_checkpoint(path, params: dict) -> None:
+    values = {name: np.asarray(p.value[at]) for name, p, at in _checkpoint_slots(params)}
     with open(path, "w") as fh:
         fh.write(CHECKPOINT_TAG + "\n")
-        for name in sorted(params):
-            v = params[name].value
+        for name, v in sorted(values.items()):
             dims = " ".join(str(d) for d in v.shape)
             fh.write(f"{name} {v.ndim}{' ' + dims if dims else ''}\n")
             fh.write(",".join(map(repr, v.reshape(-1).tolist())) + "\n")
@@ -760,9 +768,9 @@ def load_checkpoint(path) -> dict:
 
 def load_into(params: dict, path) -> None:
     values = load_checkpoint(path)
-    for name, p in params.items():
+    for name, p, at in _checkpoint_slots(params):
         if name not in values:
             raise CheckpointError(f"{path}: missing parameter {name}")
-        if values[name].shape != p.value.shape:
+        if values[name].shape != np.shape(p.value[at]):
             raise CheckpointError(f"{path}: shape mismatch for {name}")
-        p.value[...] = values[name]
+        p.value[at] = values[name]

@@ -149,7 +149,9 @@ def roll_adjoint(g: np.ndarray, lag) -> np.ndarray:
 
 
 def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    # below about -709 exp overflows to inf, which gives the exact limit 0.0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def softplus(x):

@@ -17,7 +17,6 @@ from lagattn import model as M
 from lagattn.attention import (
     CAB_RAW,
     CabOptions,
-    HeadSpec,
     MixtureWeights,
     correlated_attention,
     mixture_of_head,
@@ -148,14 +147,12 @@ def test_c4_endpoint_identities(report):
     # m = h: bitwise-identical to plain multi-head attention
     x = rand((10, 6), 23)
     rng = np.random.default_rng(24)
-    heads = [HeadSpec(kind="self",
-                      w_q=rng.normal(size=(6, 2)),
-                      w_k=rng.normal(size=(6, 2)),
-                      w_v=rng.normal(size=(6, 2))) for _ in range(3)]
+    # drawn head by head: W_q, W_k, W_v of head 0, then of head 1, ...
+    w_qkv = rng.normal(size=(3, 3, 6, 2)).transpose(2, 1, 0, 3)
     w_o = rng.normal(size=(6, 6))
-    mixed = mixture_of_head(x, MixtureWeights(heads=heads, w_o=w_o))
+    mixed = mixture_of_head(x, MixtureWeights(w_qkv, w_o, m=3))
     ref = np.concatenate(
-        [self_attention(x @ h.w_q, x @ h.w_k, x @ h.w_v) for h in heads],
+        [self_attention(*(x @ w_qkv[:, j, i] for j in range(3))) for i in range(3)],
         axis=1) @ w_o
     if not np.array_equal(mixed, ref):
         ok, detail = False, detail + ["m=h"]
@@ -334,8 +331,9 @@ def test_c8_determinism_and_roundtrips(report, tmp_path, capsys):
                       h=2, m=1, n_blocks=1, temporal="destat")
     params = M.init_params(cfg, seed=7)
     M.save_checkpoint(tmp_path / "rt.ckpt", params)
-    loaded = M.load_checkpoint(tmp_path / "rt.ckpt")
-    if not all(np.array_equal(loaded[n], p.value) for n, p in params.items()):
+    loaded = M.init_params(cfg, seed=8)
+    M.load_into(loaded, tmp_path / "rt.ckpt")
+    if not all(np.array_equal(loaded[n].value, p.value) for n, p in params.items()):
         ok, detail = False, detail + ["checkpoint roundtrip"]
 
     report(8, "determinism and roundtrips", ok,

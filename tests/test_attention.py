@@ -7,7 +7,6 @@ from lagattn import xcorr
 from lagattn.attention import (
     CAB_RAW,
     CabOptions,
-    HeadSpec,
     MixtureWeights,
     correlated_attention,
     correlated_attention_bwd,
@@ -147,33 +146,43 @@ def reference_dot_attention(q, k, v, xi, delta, g):
 
 def loop_mixture(x, mix, g):
     """Mixture-of-head forward and backward one head at a time, on the
-    one-head references. Returns (out, dx, head_grads, dw_o, dxi, ddelta)."""
-    t = x.shape[0]
+    one-head references; head i reads its slices of the stacked weights.
+    Returns (out, dx, dw_qkv, draw, dw_o, dxi, ddelta)."""
+    t, m = x.shape[0], mix.m
+    h, d_k = mix.w_qkv.shape[2:]
     delta = np.zeros(t) if mix.delta is None else mix.delta
-    d_v = mix.heads[0].w_v.shape[1]
-    outs, grads = [], []
+    outs, dx, dw_qkv = [], np.zeros_like(x), np.zeros_like(mix.w_qkv)
+    draw = {name: np.zeros(h - m) for name in CAB_RAW} if m < h else {}
+    dxi, ddelta = 0.0, np.zeros(t)
     dconcat = g @ mix.w_o.T
-    for i, h in enumerate(mix.heads):
-        q, k, v = x @ h.w_q, x @ h.w_k, x @ h.w_v
-        gh = dconcat[:, i * d_v:(i + 1) * d_v]
-        if h.kind == "correlated":
-            out, dq, dk, dv, draw = loop_cab(q, k, v, h.raw, mix.cab, gh)
-            grads.append((dq, dk, dv, draw, 0.0, np.zeros(t)))
+    for i in range(h):
+        w_q, w_k, w_v = (mix.w_qkv[:, j, i] for j in range(3))
+        q, k, v = x @ w_q, x @ w_k, x @ w_v
+        gh = dconcat[:, i * d_k:(i + 1) * d_k]
+        if i >= m:
+            raw = {name: float(np.broadcast_to(mix.raw[name], h - m)[i - m])
+                   for name in CAB_RAW}
+            out, dq, dk, dv, draw_i = loop_cab(q, k, v, raw, mix.cab, gh)
+            for name in CAB_RAW:
+                draw[name][i - m] = draw_i[name]
+        elif mix.temporal == "destat":
+            out, dq, dk, dv, dxi_i, ddelta_i = reference_dot_attention(
+                q, k, v, mix.xi, delta, gh)
+            dxi, ddelta = dxi + dxi_i, ddelta + ddelta_i
         else:
-            xi = mix.xi if h.kind == "destat" else 1.0
-            out, dq, dk, dv, dxi, ddelta = reference_dot_attention(
-                q, k, v, xi, delta if h.kind == "destat" else np.zeros(t), gh)
-            grads.append((dq, dk, dv, {}, dxi if h.kind == "destat" else 0.0,
-                          ddelta if h.kind == "destat" else np.zeros(t)))
+            out, dq, dk, dv, _, _ = reference_dot_attention(q, k, v, 1.0, np.zeros(t), gh)
         outs.append(out)
+        dx += dq @ w_q.T + dk @ w_k.T + dv @ w_v.T
+        for j, d in enumerate((dq, dk, dv)):
+            dw_qkv[:, j, i] = x.T @ d
     concat = np.concatenate(outs, axis=1)
-    dx = np.zeros_like(x)
-    head_grads = []
-    for h, (dq, dk, dv, draw, _, _) in zip(mix.heads, grads):
-        dx += dq @ h.w_q.T + dk @ h.w_k.T + dv @ h.w_v.T
-        head_grads.append({**draw, "w_q": x.T @ dq, "w_k": x.T @ dk, "w_v": x.T @ dv})
-    return (concat @ mix.w_o, dx, head_grads, concat.T @ g,
-            sum(gr[4] for gr in grads), sum(gr[5] for gr in grads))
+    return concat @ mix.w_o, dx, dw_qkv, draw, concat.T @ g, dxi, ddelta
+
+
+def stacked_projections(rng, n, d_model, d_k):
+    """A d_model x 3 x n x d_k w_qkv drawn head by head: W_q, W_k and W_v of
+    head 0, then of head 1, ..."""
+    return rng.normal(size=(n, 3, d_model, d_k)).transpose(2, 1, 0, 3)
 
 
 class TestSelfAttention:
@@ -387,25 +396,22 @@ class TestHeadStack:
     def test_mixture_matches_loop(self, t, temporal, opts):
         rng = np.random.default_rng(t + 3)
         d_model, d_k = 6, 4
-        heads = [HeadSpec(temporal, *(rng.normal(size=(d_model, d_k)) for _ in range(3)))
-                 for _ in range(2)]
-        heads += [HeadSpec("correlated", *(rng.normal(size=(d_model, d_k)) for _ in range(3)),
-                           raw=head_raw(STACK_RAW, i)) for i in range(3)]
-        mix = MixtureWeights(heads=heads, w_o=rng.normal(size=(5 * d_k, d_model)),
-                             xi=1.3, delta=rng.normal(size=t), cab=opts)
+        w_qkv = stacked_projections(rng, 5, d_model, d_k)
+        mix = MixtureWeights(w_qkv, rng.normal(size=(5 * d_k, d_model)), 2, temporal,
+                             STACK_RAW, xi=1.3, delta=rng.normal(size=t), cab=opts)
         x, g = rng.normal(size=(t, d_model)), rng.normal(size=(t, d_model))
         out, cache = mixture_of_head_fwd(x, mix)
-        dx, head_grads, dw_o, dxi, ddelta = mixture_of_head_bwd(cache, g)
+        dx, dw_qkv, draw, dw_o, dxi, ddelta = mixture_of_head_bwd(cache, g)
         want = loop_mixture(x, mix, g)
-        for got_i, want_i in zip((out, dx, dw_o), (want[0], want[1], want[3])):
+        for got_i, want_i in zip((out, dx, dw_qkv, dw_o), (want[0], want[1], want[2],
+                                                          want[4])):
             assert_close(got_i, want_i)
-        for got_h, want_h in zip(head_grads, want[2]):
-            assert got_h.keys() == want_h.keys()
-            for name in got_h:
-                assert_close(got_h[name], want_h[name])
-        assert abs(dxi - want[4]) <= 1e-12 * max(1.0, abs(want[4]))   # relative
+        assert draw.keys() == want[3].keys()
+        for name in draw:
+            assert_close(draw[name], want[3][name])
+        assert abs(dxi - want[5]) <= 1e-12 * max(1.0, abs(want[5]))   # relative
         if temporal == "destat":
-            assert_close(ddelta, want[5])
+            assert_close(ddelta, want[6])
         else:
             assert ddelta is None
 
@@ -455,59 +461,48 @@ class TestCorrelatedAttentionGradients:
 
 
 class TestMixtureOfHead:
-    def _heads(self, n, d_model, d_k, kind="self", seed=40, raw=None):
-        rng = np.random.default_rng(seed)
-        return [HeadSpec(kind=kind,
-                         w_q=rng.normal(size=(d_model, d_k)),
-                         w_k=rng.normal(size=(d_model, d_k)),
-                         w_v=rng.normal(size=(d_model, d_k)),
-                         raw=raw)
-                for _ in range(n)]
+    def _w_qkv(self, n, d_model, d_k, seed=40):
+        return stacked_projections(np.random.default_rng(seed), n, d_model, d_k)
 
     def test_m_equals_h_is_multihead_attention(self):
         x = rand((10, 6), 41)
-        heads = self._heads(3, 6, 2)
+        w_qkv = self._w_qkv(3, 6, 2)
         w_o = rand((6, 6), 42)
-        mix = MixtureWeights(heads=heads, w_o=w_o)
-        out = mixture_of_head(x, mix)
+        out = mixture_of_head(x, MixtureWeights(w_qkv, w_o, 3))
         ref = np.concatenate(
-            [self_attention(x @ h.w_q, x @ h.w_k, x @ h.w_v) for h in heads],
+            [self_attention(*(x @ w_qkv[:, j, i] for j in range(3))) for i in range(3)],
             axis=1) @ w_o
         assert np.array_equal(out, ref)
 
     def test_even_temporal_correlated_split(self):
         x = rand((8, 4), 43)
-        heads = (self._heads(8, 4, 2, "self", 44)
-                 + self._heads(8, 4, 2, "correlated", 45, raw=CAB_RAW))
-        mix = MixtureWeights(heads=heads, w_o=rand((32, 4), 46))
-        out = mixture_of_head(x, mix)
+        w_qkv = np.concatenate([self._w_qkv(8, 4, 2, 44), self._w_qkv(8, 4, 2, 45)],
+                               axis=2)
+        out = mixture_of_head(x, MixtureWeights(w_qkv, rand((32, 4), 46), 8))
         assert out.shape == (8, 4)
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_output_shape_any_split(self, m):
         x = rand((6, 5), 47)
-        heads = (self._heads(m, 5, 3, "self", 48)
-                 + self._heads(2 - m, 5, 3, "correlated", 49, raw=CAB_RAW))
-        mix = MixtureWeights(heads=heads, w_o=rand((6, 5), 50))
+        w_qkv = np.concatenate([self._w_qkv(m, 5, 3, 48), self._w_qkv(2 - m, 5, 3, 49)],
+                               axis=2)
+        mix = MixtureWeights(w_qkv, rand((6, 5), 50), m)
         assert mixture_of_head(x, mix).shape == (6, 5)
 
-    def test_correlated_head_without_cab_params(self):
-        x = rand((6, 4), 51)
-        heads = self._heads(1, 4, 2, "correlated", 52, raw=None)
-        with pytest.raises(ParameterError):
-            mixture_of_head(x, MixtureWeights(heads=heads, w_o=rand((2, 4), 53)))
-
-    def test_temporal_heads_come_first(self):
-        # the two stacks are heads [:m] (one temporal kind) and heads [m:]
-        x = rand((6, 4), 57)
-        for kinds in (("correlated", "self"), ("self", "destat")):
-            heads = [self._heads(1, 4, 2, kind, 58 + i, raw=CAB_RAW)[0]
-                     for i, kind in enumerate(kinds)]
-            with pytest.raises(ParameterError, match="one temporal kind"):
-                mixture_of_head(x, MixtureWeights(heads=heads, w_o=rand((4, 4), 59)))
-
     def test_bad_w_o_shape(self):
+        # the weights are checked against each other: w_o against h d_k, and
+        # each CAB scalar array against the h - m correlated heads
         x = rand((6, 4), 54)
-        heads = self._heads(2, 4, 2, "self", 55)
-        with pytest.raises(ShapeError):
-            mixture_of_head(x, MixtureWeights(heads=heads, w_o=rand((3, 4), 56)))
+        w_qkv = self._w_qkv(2, 4, 2, 55)
+        raw = {**CAB_RAW, "tau_raw": np.ones(2)}
+        for bad in (dict(w_o=rand((3, 4), 56)),
+                    dict(w_qkv=w_qkv.reshape(4, 12)),           # not stacked
+                    dict(w_qkv=w_qkv[:3]),                      # d_model 3, x has 4
+                    dict(w_qkv=w_qkv[:, :2]),                   # no W_v
+                    dict(m=1, raw=raw),                         # 2 values, 1 head
+                    dict(m=0, raw={**raw, "beta_raw": np.ones(1)})):
+            mix = MixtureWeights(**{"w_qkv": w_qkv, "w_o": rand((4, 4), 56), "m": 2,
+                                    **bad})
+            with pytest.raises(ShapeError):
+                mixture_of_head(x, mix)
+        mixture_of_head(x, MixtureWeights(w_qkv, rand((4, 4), 56), 0, raw=raw))

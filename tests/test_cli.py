@@ -127,6 +127,16 @@ class TestTrainEval:
                         "--checkpoint", str(ckpt)]) == cli.EXIT_FILE
         assert "non-finite value for head.w" in capsys.readouterr().err
 
+    def test_eval_missing_per_head_entry_exit(self, toy_dataset, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST,
+                        "--checkpoint", str(ckpt)]) == 0
+        text = ckpt.read_text()
+        ckpt.write_text(re.sub(r"^block0\.head1\.w_v .*\n.*\n", "", text, flags=re.M))
+        assert run_cli(["eval", "--data", str(toy_dataset),
+                        "--checkpoint", str(ckpt)]) == cli.EXIT_FILE
+        assert "missing parameter block0.head1.w_v" in capsys.readouterr().err
+
     def test_eval_reads_only_the_test_split(self, toy_dataset, tmp_path, capsys):
         ckpt = tmp_path / "model.ckpt"
         assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST,
@@ -277,7 +287,7 @@ class TestAblationPresets:
         assert not opts.filtering
         assert len(scalars) == cfg.h
         assert all(beta == 0.0 for _, beta in scalars)
-        assert "block0.head0.beta_raw" not in params
+        assert "block0.beta_raw" not in params
 
     def test_static_preset(self):
         cfg = self._cfg("static")
@@ -290,15 +300,15 @@ class TestAblationPresets:
         cfg = self._cfg("lambda")
         assert cfg.lambda_mode == "learnable" and not cfg.beta_learnable
         params = M.init_params(cfg, seed=0)
-        assert f"block0.head{cfg.m}.lambda_raw" in params
-        assert f"block0.head{cfg.m}.beta_raw" not in params
+        assert params["block0.lambda_raw"].value.shape == (cfg.h - cfg.m,)
+        assert "block0.beta_raw" not in params
 
     def test_beta_preset(self):
         cfg = self._cfg("beta")
         assert cfg.lambda_mode == "fixed" and cfg.beta_learnable
         params = M.init_params(cfg, seed=0)
-        assert f"block0.head{cfg.m}.beta_raw" in params
-        assert f"block0.head{cfg.m}.lambda_raw" not in params
+        assert params["block0.beta_raw"].value.shape == (cfg.h - cfg.m,)
+        assert "block0.lambda_raw" not in params
 
     def test_ablate_rejects_ablation_flag(self, toy_dataset, capsys):
         # ablate runs every preset; a preset flag would be silently ignored
@@ -388,6 +398,20 @@ class TestRunConfig:
         abort = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert abort["event"] == "abort"
         assert abort["reason"].startswith("epoch 0, batch 1: ")
+
+    def test_finite_divergence_exits_zero(self, toy_dataset, capsys):
+        # exit 4 is for a non-finite loss or a scalar out of its range; a run
+        # that diverges but stays finite exits 0 and its records show it
+        assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST,
+                        "--lr", "1e9", "--cab", "off"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON constant {token}")
+
+        records = [json.loads(line, parse_constant=reject)
+                   for line in capsys.readouterr().out.splitlines()]
+        assert records[-1]["event"] == "summary"
+        assert records[-1]["final_val_loss"] > 1e30
 
     @pytest.mark.parametrize("flags, name", [
         ([], r"block0\.head1\.tau_raw"),      # the correlated head's temperature

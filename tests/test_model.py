@@ -119,6 +119,54 @@ class TestHeadStacks:
 # per-sample oracle: the model one sample at a time, as it ran before chunks
 
 
+def loop_attention_fwd(x, params, cfg, b, xi, delta, cab):
+    """Block b's attention on one T x d_model sample, one head at a time on
+    the one-head mechanisms; head i reads its slices of the stacked weights."""
+    w, m = params[f"block{b}.w_qkv"].value, cfg.n_temporal
+    raw = {name: params[f"block{b}.{name}"].value if f"block{b}.{name}" in params
+           else np.full(cfg.h - m, fixed) for name, (fixed, _) in M._cab_scalars(cfg).items()}
+    outs, caches = [], []
+    for i in range(cfg.h):
+        q, k, v = (x @ w[:, j, i] for j in range(3))
+        if i >= m:
+            out, cache = A.correlated_attention_fwd(
+                q, k, v, {name: float(r[i - m]) for name, r in raw.items()}, cab)
+        elif cfg.temporal == "destat":
+            out, cache = A.destationary_attention_fwd(q, k, v, xi, delta)
+        else:
+            out, cache = A.self_attention_fwd(q, k, v)
+        outs.append(out)
+        caches.append(cache)
+    concat = np.concatenate(outs, axis=1)
+    return concat @ params[f"block{b}.w_o"].value, (x, concat, caches)
+
+
+def loop_attention_bwd(g, cache, params, grads, cfg, b):
+    """Returns (dx, dxi, ddelta) of one sample's block-b attention and adds
+    its weight and CAB scalar gradients into ``grads``, head by head."""
+    x, concat, caches = cache
+    w, m, d_k = params[f"block{b}.w_qkv"].value, cfg.n_temporal, cfg.d_k
+    grads[f"block{b}.w_o"] += concat.T @ g
+    dconcat = g @ params[f"block{b}.w_o"].value.T
+    dx, dxi, ddelta = np.zeros_like(x), 0.0, np.zeros(x.shape[0])
+    for i, c in enumerate(caches):
+        gh = dconcat[:, i * d_k:(i + 1) * d_k]
+        if i >= m:
+            dq, dk, dv, draw = A.correlated_attention_bwd(c, gh)
+            for name, d in draw.items():
+                if f"block{b}.{name}" in grads:
+                    grads[f"block{b}.{name}"][i - m] += d
+        elif cfg.temporal == "destat":
+            dq, dk, dv, dxi_i, ddelta_i = A.destationary_attention_bwd(c, gh)
+            dxi, ddelta = dxi + dxi_i, ddelta + ddelta_i
+        else:
+            dq, dk, dv = A.self_attention_bwd(c, gh)
+        for j, d in enumerate((dq, dk, dv)):
+            grads[f"block{b}.w_qkv"][:, j, i] += x.T @ d
+            dx += d @ w[:, j, i].T
+    return dx, dxi, ddelta
+
+
 def loop_forward(x, params, cfg):
     """One T x d sample through the model; returns (prediction, cache)."""
     t = x.shape[0]
@@ -136,23 +184,11 @@ def loop_forward(x, params, cfg):
     hrep = xp @ params["embed.w"].value
     if cfg.positional == "sin":
         hrep = hrep + M._positional_encoding(t, cfg.d_model)
-    scalars = M._cab_scalars(cfg)
     cab = A.CabOptions(c=cfg.c, use_fft=cfg.lag_path == "fft",
                        filtering=cfg.filtering_enabled, soft=cfg.lambda_mode == "learnable")
     blocks = []
     for b in range(cfg.n_blocks):
-        heads = []
-        for i in range(cfg.h):
-            kind, pre = cfg.head_kind(i), f"block{b}.head{i}"
-            raw = ({name: float(params[f"{pre}.{name}"].value) if on else fixed
-                    for name, (fixed, on) in scalars.items()}
-                   if kind == "correlated" else None)
-            heads.append(A.HeadSpec(kind, params[f"{pre}.w_q"].value,
-                                    params[f"{pre}.w_k"].value,
-                                    params[f"{pre}.w_v"].value, raw))
-        mix = A.MixtureWeights(heads=heads, w_o=params[f"block{b}.w_o"].value,
-                               xi=xi, delta=delta, cab=cab)
-        attn_out, attn_cache = A.mixture_of_head_fwd(hrep, mix)
+        attn_out, attn_cache = loop_attention_fwd(hrep, params, cfg, b, xi, delta, cab)
         r1, ln1 = M._layernorm_fwd(hrep + attn_out, params[f"block{b}.ln1.gain"].value,
                                    params[f"block{b}.ln1.bias"].value)
         z1 = r1 @ params[f"block{b}.ff.w1"].value + params[f"block{b}.ff.b1"].value
@@ -199,15 +235,9 @@ def loop_backward(dpred, cache, params, grads, cfg):
         dr1, dg, db = M._layernorm_bwd(ln1, dr2 + dz1 @ val(f"block{b}.ff.w1").T)
         grads[f"block{b}.ln1.gain"] += dg
         grads[f"block{b}.ln1.bias"] += db
-        dx, head_grads, dw_o, dxi_b, ddelta_b = A.mixture_of_head_bwd(attn_cache, dr1)
-        grads[f"block{b}.w_o"] += dw_o
+        dx, dxi_b, ddelta_b = loop_attention_bwd(dr1, attn_cache, params, grads, cfg, b)
         dxi += dxi_b
-        if ddelta_b is not None:
-            ddelta += ddelta_b
-        for i, hg in enumerate(head_grads):
-            for name, g in hg.items():
-                if f"block{b}.head{i}.{name}" in grads:
-                    grads[f"block{b}.head{i}.{name}"] += g
+        ddelta += ddelta_b
         dh = dr1 + dx
     grads["embed.w"] += xp.T @ dh
     if destat is not None:
@@ -322,7 +352,7 @@ class TestChunks:
     def test_collapsed_temperature_names_head_in_chunk(self):
         cfg = toy_config(h=4, m=2)
         params = M.init_params(cfg, seed=13)
-        params["block0.head3.tau_raw"].value[...] = -1e9
+        params["block0.tau_raw"].value[1] = -1e9        # head m + 1 = 3
         x = np.stack([s[0] for s in chunk_batch("imputation")])
         with pytest.raises(M.ParameterError, match=r"^block0\.head3\.tau_raw: "):
             M.model_forward(x, params, cfg)
@@ -352,10 +382,38 @@ class TestParamRegistry:
             assert sum(p.value.size for p in params.values()) == M.count_params(cfg), kw
 
     def test_cab_scalars_only_on_correlated_heads(self):
+        # one value per correlated head (heads 2 and 3), none for heads 0, 1
         cfg = toy_config(h=4, m=2)
         params = M.init_params(cfg, seed=0)
-        assert "block0.head2.beta_raw" in params
-        assert "block0.head1.beta_raw" not in params
+        assert params["block0.beta_raw"].value.shape == (2,)
+        assert params["block0.tau_raw"].value.shape == (2,)
+        assert "block0.lambda_raw" not in params                # fixed
+        assert not any(name.endswith("_raw") for name in M.init_params(
+            toy_config(h=4, m=4), seed=0))                      # no correlated heads
+
+    @pytest.mark.parametrize("shape, entries", [
+        (dict(d_model=16, d_k=8, h=2, m=1), 15),                           # toy
+        (dict(d_model=16, d_k=8, h=16, m=8), 15),                          # ref
+        (dict(d_model=16, d_k=8, h=4, m=1, temporal="destat"), 23),        # long
+    ], ids=["toy", "ref", "long"])
+    def test_one_attention_entry_per_block(self, shape, entries):
+        params = M.init_params(toy_config(**shape), seed=0)
+        assert len(params) == entries
+        assert params["block0.w_qkv"].value.shape == (16, 3, shape["h"], 8)
+
+    def test_init_draws_head_by_head(self):
+        # the projections are drawn per head (W_q, W_k, W_v of head 0, then
+        # head 1, ...), before w_o, from the one generator
+        cfg = toy_config(h=3, m=1)
+        params = M.init_params(cfg, seed=5)
+        rng = np.random.default_rng(5)
+        rng.normal(size=(cfg.d_in, cfg.d_model))                          # embed.w
+        for i in range(3):
+            for j in range(3):
+                want = rng.normal(0.0, 0.5, size=(cfg.d_model, cfg.d_k))
+                assert np.array_equal(params["block0.w_qkv"].value[:, j, i], want)
+        assert np.array_equal(params["block0.w_o"].value,
+                              rng.normal(0.0, 1 / math.sqrt(12), size=(12, 4)))
 
     def test_m_h_swap_changes_only_scalars(self):
         full = M.count_params(toy_config(h=2, m=2))
@@ -510,9 +568,51 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         M.save_checkpoint(path, params)
         loaded = M.load_checkpoint(path)
-        assert set(loaded) == set(params)
-        for n, p in params.items():
-            assert np.array_equal(loaded[n], p.value)
+        slots = {name: p.value[at] for name, p, at in M._checkpoint_slots(params)}
+        assert set(loaded) == set(slots)
+        for n, v in slots.items():
+            assert np.array_equal(loaded[n], v)
+
+    def test_per_head_entries_are_stacked_slots(self, tmp_path):
+        # checkpoints keep one entry per head: head i's W_q, W_k and W_v are
+        # column blocks i, h + i and 2 h + i of the fused d_model x 3 h d_k
+        # projection, and correlated head m + j holds entry j of each scalar
+        cfg = toy_config(h=4, m=2, lambda_mode="learnable", n_blocks=2)
+        params = M.init_params(cfg, seed=8)
+        for p in params.values():       # no two values alike
+            p.value[...] = np.random.default_rng(len(p.name)).normal(size=p.value.shape)
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(path, params)
+        loaded = M.load_checkpoint(path)
+        h, d_k = cfg.h, cfg.d_k
+        assert len(loaded) == len(params) + 2 * (3 * h + 3 * (h - cfg.m) - 4)
+        for b in range(2):
+            fused = params[f"block{b}.w_qkv"].value.reshape(cfg.d_model, -1)
+            for i in range(h):
+                for j, w in enumerate(("w_q", "w_k", "w_v")):
+                    col = (j * h + i) * d_k
+                    assert np.array_equal(loaded[f"block{b}.head{i}.{w}"],
+                                          fused[:, col:col + d_k])
+            for name in ("beta_raw", "tau_raw", "lambda_raw"):
+                assert not any(f"block{b}.head{i}.{name}" in loaded for i in range(2))
+                for j in range(2):
+                    assert loaded[f"block{b}.head{2 + j}.{name}"].shape == ()
+                    assert loaded[f"block{b}.head{2 + j}.{name}"] == \
+                        params[f"block{b}.{name}"].value[j]
+        other = M.init_params(cfg, seed=9)
+        M.load_into(other, path)
+        for name, p in params.items():
+            assert np.array_equal(other[name].value, p.value)
+
+    def test_missing_per_head_entry(self, tmp_path):
+        params = M.init_params(toy_config(), seed=8)
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(path, params)
+        lines = path.read_text().splitlines()
+        at = lines.index(next(l for l in lines if l.startswith("block0.head1.w_v ")))
+        path.write_text("\n".join(lines[:at] + lines[at + 2:]) + "\n")
+        with pytest.raises(M.CheckpointError, match=r"missing parameter block0\.head1\.w_v$"):
+            M.load_into(params, path)
 
     def test_load_into(self, tmp_path):
         cfg = toy_config()

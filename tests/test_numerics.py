@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from lagattn.numerics import (
     l2_normalize_cols_adjoint,
     roll,
     roll_adjoint,
+    sigmoid,
     softmax_cols,
     softmax_cols_adjoint,
     zero_grads,
@@ -201,6 +204,17 @@ class TestAdjoints:
         g = rand((2, 9, 4), 18)
         expect = self._fd(lambda x: roll(x, lags), rand((2, 9, 2), 19), g)
         assert np.allclose(roll_adjoint(g, lags), expect, atol=1e-8)
+
+
+class TestSigmoid:
+    def test_saturates_without_warning(self):
+        x = np.array([-1e4, -745.0, -700.0, 0.0, 700.0, 1e4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid(x)
+        assert got[0] == got[1] == 0.0 and got[3] == 0.5 and got[-1] == 1.0
+        # the same values, bitwise, where exp does not overflow
+        assert np.array_equal(got[2:], 1.0 / (1.0 + np.exp(-x[2:])))
 
 
 class TestCheckGradient:
