@@ -91,10 +91,17 @@ def _t(a):
 # attention skips the scale xi and the shift Delta (xi = None)
 
 
-# What the temporal backward needs: xi the per-sample scales (de-stationary
-# attention only), qk Q K^T / scale (for dxi), attn the row softmaxes and
-# out = attn V.
-DotCache = namedtuple("DotCache", "q k v xi qk attn out scale single")
+# The temporal scores run over row blocks: a block of the H x T x T scores
+# holds at most BLOCK_DOUBLES doubles (256 KB), so no T x T array outlives
+# a block, neither in forward nor in backward.
+BLOCK_DOUBLES = 2 ** 15
+
+
+# What the temporal backward needs: q, k and v, xi and delta the per-sample
+# scales and shifts (de-stationary attention only; None for self attention),
+# lse the log-sum-exp of each score row (H x T) and out = softmax V.
+# Backward recomputes each block's softmax as exp(scores - lse).
+DotCache = namedtuple("DotCache", "q k v xi delta lse out single")
 
 
 def _per_head(a, n: int) -> np.ndarray:
@@ -103,43 +110,87 @@ def _per_head(a, n: int) -> np.ndarray:
     return np.repeat(a, n // len(a), axis=0)
 
 
+def _row_blocks(n: int, t: int):
+    """Row slices of the score matrices of an n-head stack, each block of the
+    n x T x T scores at most BLOCK_DOUBLES doubles (at least one row)."""
+    rows = max(1, BLOCK_DOUBLES // (n * t))
+    return [slice(r, r + rows) for r in range(0, t, rows)]
+
+
+def _factors(q, k, xi, delta, lse=0.0):
+    """(A, B) with A @ B = (xi Q K^T + 1 Delta^T) / sqrt(d_k) - lse 1^T, the
+    scores less a constant per row: A = [xi Q / sqrt(d_k), 1, -lse] and
+    B = [K, Delta / sqrt(d_k), 1]^T, xi = 1 and Delta = 0 for self attention.
+    The shift and the row constant ride in the product: a broadcast pass
+    over a block of scores costs more than two more terms in each dot."""
+    n, t, d = q.shape
+    a, b = np.empty((n, t, d + 2)), np.empty((n, d + 2, t))
+    scale = np.sqrt(d)
+    if xi is None:
+        a[..., :d], b[:, d] = q / scale, 0.0
+    else:
+        a[..., :d] = q * (_per_head(xi.reshape(-1), n) / scale)[:, None, None]
+        b[:, d] = _per_head(delta.reshape(xi.size, -1), n) / scale
+    a[..., d], a[..., d + 1] = 1.0, -lse
+    b[:, :d], b[:, d + 1] = k.transpose(0, 2, 1), 1.0
+    return a, b
+
+
 def _dot_attention_fwd(q, k, v, xi, delta):
     (q, k, v), single = _heads(q, k, v)
     if q.shape != k.shape or q.shape[:2] != v.shape[:2]:
         raise ShapeError(f"inconsistent shapes: q {q.shape}, k {k.shape}, v {v.shape}")
-    scale = np.sqrt(q.shape[-1])
-    # few passes, in place, over the H x T x T scores: a fresh array of that
-    # size costs more than the arithmetic on it
-    z, qk = (q / scale) @ _t(k), None
-    if xi is not None:          # keep Q K^T / scale for dxi
-        n, b = q.shape[0], xi.size
-        qk, z = z, _per_head(xi.reshape(-1), n)[:, None, None] * z
-        z += _per_head(delta.reshape(b, -1), n)[:, None, :] / scale
-    z -= z.max(axis=-1, keepdims=True)
-    attn = np.exp(z, out=z)
-    attn /= attn.sum(axis=-1, keepdims=True)
-    out = attn @ v
-    return _unstack(single, out)[0], DotCache(q, k, v, xi, qk, attn, out, scale, single)
+    a, b = _factors(q, k, xi, delta)
+    n, t = q.shape[:2]
+    out, lse = np.empty((n, t, v.shape[-1])), np.empty((n, t))
+    for rows in _row_blocks(n, t):
+        # in place over the block: a fresh array of its size costs more than
+        # the arithmetic on it
+        z = a[:, rows] @ b
+        top = z.max(axis=-1, keepdims=True)
+        z -= top
+        attn = np.exp(z, out=z)
+        total = attn.sum(axis=-1, keepdims=True)
+        out[:, rows] = (attn @ v) / total
+        lse[:, rows] = (top + np.log(total))[..., 0]
+    return _unstack(single, out)[0], DotCache(q, k, v, xi, delta, lse, out, single)
 
 
 def _dot_attention_bwd(cache, g):
-    """Returns (dq, dk, dv, dscores): dscores is the gradient of the scores
-    xi Q K^T + 1 Delta^T, and dq and dk carry the factor xi."""
+    """Returns (dq, dk, dv, dxi, ddelta): dxi and ddelta are each head's
+    gradients of its sample's xi and delta (None for self attention)."""
     c = cache
     g = g[None] if c.single else g
-    dv = c.attn.transpose(0, 2, 1) @ g
-    # softmax adjoint; the row sums of attn * (g V^T) are the rows of g . out
-    g = g / c.scale
-    dscores = g @ _t(c.v)
-    dscores -= (g * c.out).sum(axis=-1, keepdims=True)
-    dscores *= c.attn
-    dq = dscores @ c.k
-    dk = dscores.transpose(0, 2, 1) @ c.q
-    if c.xi is not None:
-        xi = _per_head(c.xi.reshape(-1), len(dq))[:, None, None]
-        dq *= xi
-        dk *= xi
-    return (*_unstack(c.single, dq, dk, dv), dscores)
+    (n, t, d), d_v = c.q.shape, c.v.shape[-1]
+    a, b = _factors(c.q, c.k, c.xi, c.delta, c.lse)
+    # [g, -rowdot] [V, 1]^T = g V^T less the row sums of softmax * (g V^T),
+    # which are the rows of g . out
+    ga, vb = np.empty((n, t, d_v + 1)), np.empty((n, d_v + 1, t))
+    ga[..., :d_v], ga[..., d_v] = g, -(g * c.out).sum(axis=-1)
+    vb[:, :d_v], vb[:, d_v] = c.v.transpose(0, 2, 1), 1.0
+    dv, dk, dzk = np.zeros(c.v.shape), np.zeros(c.k.shape), np.empty(c.q.shape)
+    ddelta = None if c.xi is None else np.zeros((n, t))
+    for rows in _row_blocks(n, t):
+        attn = a[:, rows] @ b
+        np.exp(attn, out=attn)
+        dv += attn.transpose(0, 2, 1) @ ga[:, rows, :d_v]
+        # dz, the gradient of the block's scores / sqrt(d_k)
+        dz = ga[:, rows] @ vb
+        dz *= attn
+        dk += dz.transpose(0, 2, 1) @ a[:, rows, :d]
+        dzk[:, rows] = dz @ c.k
+        if ddelta is not None:
+            ddelta += dz.sum(axis=1)
+    scale, dxi = np.sqrt(d), None
+    if c.xi is None:
+        dq = dzk / scale
+    else:
+        # the scores' gradient dS = dz / sqrt(d_k) gives dxi = <dS, Q K^T> =
+        # sum(Q * (dS K)) and dq = xi dS K
+        dxi = (c.q * dzk).sum(axis=(1, 2)) / scale
+        dq = dzk * (_per_head(c.xi.reshape(-1), n) / scale)[:, None, None]
+        ddelta /= scale
+    return (*_unstack(c.single, dq, dk, dv), dxi, ddelta)
 
 
 def self_attention_fwd(q, k, v):
@@ -172,11 +223,11 @@ def destationary_attention_fwd(q, k, v, xi, delta):
 def destationary_attention_bwd(cache, g):
     """Returns (dq, dk, dv, dxi, ddelta), dxi and ddelta summed over the heads
     of each sample and shaped like the forward's xi and delta."""
-    dq, dk, dv, dscores = _dot_attention_bwd(cache, g)
+    dq, dk, dv, dxi, ddelta = _dot_attention_bwd(cache, g)
     xi = cache.xi
-    b, t = xi.size, dscores.shape[-1]
-    dxi = cache.scale * np.vecdot(dscores.reshape(b, -1), cache.qk.reshape(b, -1))
-    ddelta = dscores.sum(axis=1).reshape(b, -1, t).sum(axis=1)
+    b, t = xi.size, ddelta.shape[-1]
+    dxi = dxi.reshape(b, -1).sum(axis=1)
+    ddelta = ddelta.reshape(b, -1, t).sum(axis=1)
     return dq, dk, dv, dxi.reshape(xi.shape)[()], ddelta.reshape(xi.shape + (t,))
 
 
@@ -190,12 +241,12 @@ def destationary_attention(q, k, v, xi, delta):
 
 # What correlated_attention_bwd needs from the forward pass, per head of the
 # stack. all_lags is H x (k+1), each row [0, l_1..l_k]: lag 0 is the
-# instantaneous term, weighted by coefs [1 - beta, beta * w_1..w_k]. kg and vg
-# are K_hat and V gathered over all_lags, H x T x (k+1) d; a and s are the
-# H x (k+1) x d x d scores roll(K_hat, l)^T Q_hat and their column softmaxes
-# at tau.
-CabCache = namedtuple("CabCache", "q k v q_hat raw lam beta tau all_lags coefs "
-                                  "weights omega kg vg a s scores selection single")
+# instantaneous term, weighted by coefs [1 - beta, beta * w_1..w_k]. a and s
+# are the H x (k+1) x d x d scores roll(K_hat, l)^T Q_hat and their column
+# softmaxes at tau. The gathers of K_hat and V over all_lags, H x T x (k+1) d,
+# are not kept: backward gathers them again from k_hat and v.
+CabCache = namedtuple("CabCache", "q k v q_hat k_hat raw lam beta tau all_lags coefs "
+                                  "weights omega a s scores selection single")
 
 
 def correlated_attention_fwd(q, k, v, raw: dict, opts: CabOptions = CabOptions()):
@@ -208,7 +259,8 @@ def correlated_attention_fwd(q, k, v, raw: dict, opts: CabOptions = CabOptions()
     n, t, d = q.shape
     if t < 2:
         raise DegenerateSeriesError(f"CAB needs T >= 2, got {t}")
-    raw = {name: np.full(n, raw[name], dtype=np.float64) for name in CAB_RAW}
+    raw = {name: np.broadcast_to(np.asarray(raw[name], dtype=np.float64), n)
+           for name in CAB_RAW}
     lam = sigmoid(raw["lambda_raw"])
     beta = sigmoid(raw["beta_raw"]) if opts.filtering else np.zeros(n)
     tau = softplus(raw["tau_raw"])
@@ -234,13 +286,12 @@ def correlated_attention_fwd(q, k, v, raw: dict, opts: CabOptions = CabOptions()
         weights = lags.shape[1] * omega
 
     coefs = np.concatenate([1.0 - beta[:, None], beta[:, None] * weights], axis=1)
-    kg, vg = roll(k_hat, all_lags), roll(v, all_lags)
-    a = (kg.transpose(0, 2, 1) @ q_hat).reshape(n, -1, d, d)
+    a = (roll(k_hat, all_lags).transpose(0, 2, 1) @ q_hat).reshape(n, -1, d, d)
     s = softmax_cols(a, tau)
-    out = vg @ (coefs[..., None, None] * s).reshape(n, -1, d)
+    out = roll(v, all_lags) @ (coefs[..., None, None] * s).reshape(n, -1, d)
     return _unstack(single, out)[0], CabCache(
-        q, k, v, q_hat, raw, lam, beta, tau, all_lags, coefs, weights, omega,
-        kg, vg, a, s, scores, selection, single)
+        q, k, v, q_hat, k_hat, raw, lam, beta, tau, all_lags, coefs, weights, omega,
+        a, s, scores, selection, single)
 
 
 def correlated_attention_bwd(cache, g):
@@ -251,12 +302,12 @@ def correlated_attention_bwd(cache, g):
     n, d = c.q.shape[0], c.q.shape[-1]
     coefs = c.coefs[..., None, None]
     # <g, term_l> for term_l = roll(V, l) S_l, read off roll(V, l)^T g
-    vtg = (c.vg.transpose(0, 2, 1) @ g).reshape(c.s.shape)
+    vtg = (roll(c.v, c.all_lags).transpose(0, 2, 1) @ g).reshape(c.s.shape)
     g_terms = (vtg * c.s).sum(axis=(2, 3))
     da, dtau = softmax_cols_adjoint(coefs * vtg, c.s, c.a, c.tau)
     da = da.reshape(n, -1, d)
     dv = roll_adjoint(g @ _t((coefs * c.s).reshape(n, -1, d)), c.all_lags)
-    dq_hat = c.kg @ da
+    dq_hat = roll(c.k_hat, c.all_lags) @ da
     dk_hat = roll_adjoint(c.q_hat @ _t(da), c.all_lags)
 
     # out = (1 - beta) term_0 + beta * sum_l w_l term_l

@@ -48,7 +48,7 @@ class DegenerateTaskError(ValueError):
 
 
 class NumericalFailure(RuntimeError):
-    """A training step produced a non-finite loss."""
+    """A training step produced a non-finite loss or gradient."""
 
 
 def sigmoid_inv(p: float) -> float:
@@ -463,17 +463,18 @@ def task_loss(pred, target, task: str, mask=None):
 
 
 # A batch runs in the fewest chunks of at most CHUNK_DOUBLES / s samples, of
-# near-equal size. s counts the doubles of one sample's largest per-block
-# caches: the T x T score matrices of its m temporal heads, and the
-# T x (k + 1) d_k gathers kg and vg of K_hat and V for each of its h - m
-# correlated heads. At its peak a chunk keeps 3 to 5 times that alive per
-# sample (feed-forward activations, layernorm caches and backward temporaries
-# come on top), so 2**17 doubles (1 MB) keep a chunk under about 5 MB: at
-# most 7 samples at T = 96, h = 2, m = 1 (a batch of 8 runs as two chunks of
-# 4), and one from h = 16 or T = 512 on, which keeps the memory of one sample
-# at a time. Bigger chunks cost more than they save: a whole batch of 8 at
-# that toy shape peaks at 5.5 MB, which the allocator hands back to the
-# system after every batch and page-faults in again.
+# near-equal size. s = m T^2 + 2 (h - m) T (k + 1) d_k bounds the doubles of
+# one sample's largest attention temporaries, none of which the caches keep:
+# the gathers of K_hat and V over the k + 1 lags of each correlated head,
+# alive inside CAB's forward and again inside its backward, and the T x T
+# scores of the m temporal heads, which exist one row block at a time
+# (attention.BLOCK_DOUBLES), so that term overstates them. The bound is
+# unchanged, and so are the chunks: at most 7 samples at T = 96, h = 2, m = 1
+# (a batch of 8 runs as two chunks of 4), and one from h = 16 or T = 512 on.
+# Bigger chunks cost more than they save once a chunk's temporaries outgrow
+# what the allocator keeps between batches: it hands them back to the system
+# after every batch and page-faults them in again (a whole toy batch of 8,
+# peaking at 5.5 MB, did).
 CHUNK_DOUBLES = 2 ** 17
 
 
@@ -562,6 +563,9 @@ def train_step(batch, params: dict, cfg: RunConfig, optimizer) -> float:
     loss = batch_loss_and_grad(batch, params, cfg)
     if not np.isfinite(loss):
         raise NumericalFailure(f"non-finite loss {loss!r}; step aborted")
+    for name, p in params.items():
+        if not np.isfinite(p.grad).all():
+            raise NumericalFailure(f"non-finite gradient in {name}")
     optimizer.step(params)
     return loss
 
@@ -584,14 +588,15 @@ def train_model(train_samples, val_samples, params: dict, cfg: RunConfig):
         order = rng.permutation(len(train_samples))
         train_loss, nb = 0.0, 0
         # a scalar driven out of its range (say tau to 0 by a huge step) makes
-        # the next forward raise ParameterError: abort the run as numerical
+        # the next forward raise ParameterError: abort the run as numerical,
+        # as a non-finite loss or gradient does, naming where
         try:
             for start in range(0, len(order), batch_size):
                 batch = [train_samples[j] for j in order[start:start + batch_size]]
                 train_loss += train_step(batch, params, cfg, opt)
                 nb += 1
             val_loss = evaluate_loss(val_samples, params, cfg)
-        except ParameterError as exc:
+        except (ParameterError, NumericalFailure) as exc:
             where = f"batch {nb}" if nb * batch_size < len(order) else "validation"
             raise NumericalFailure(f"epoch {epoch}, {where}: {exc}") from exc
         records.append({"epoch": epoch, "train_loss": train_loss / max(nb, 1),

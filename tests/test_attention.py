@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lagattn import attention as A
 from lagattn import xcorr
 from lagattn.attention import (
     CAB_RAW,
@@ -142,6 +143,37 @@ def reference_dot_attention(q, k, v, xi, delta, g):
     dscores = attn * (dattn - (attn * dattn).sum(axis=1, keepdims=True)) / scale
     return (attn @ v, xi * dscores @ k, xi * dscores.T @ q, attn.T @ g,
             float((dscores * qk).sum()), dscores.sum(axis=0))
+
+
+def dense_attention(q, k, v, xi, delta, g):
+    """Self (xi None) or de-stationary attention on an H x T x d stack and its
+    backward, with the whole H x T x T softmax in memory: the kernel that the
+    row-blocked log-sum-exp kernel replaced. xi holds B values and delta is
+    B x T, for B samples of H / B heads each. Returns (out, dq, dk, dv, dxi,
+    ddelta), dxi and ddelta summed over each sample's heads (None for self
+    attention)."""
+    n, scale = q.shape[0], np.sqrt(q.shape[-1])
+    z = (q / scale) @ k.transpose(0, 2, 1)
+    if xi is not None:
+        per_head = np.repeat(xi, n // xi.size)[:, None, None]
+        qk, z = z, per_head * z
+        z += np.repeat(delta, n // xi.size, axis=0)[:, None, :] / scale
+    z -= z.max(axis=-1, keepdims=True)
+    attn = np.exp(z)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    out = attn @ v
+    dv = attn.transpose(0, 2, 1) @ g
+    g = g / scale
+    dscores = g @ v.transpose(0, 2, 1)
+    dscores -= (g * out).sum(axis=-1, keepdims=True)
+    dscores *= attn
+    dq, dk = dscores @ k, dscores.transpose(0, 2, 1) @ q
+    if xi is None:
+        return out, dq, dk, dv, None, None
+    b, t = xi.size, q.shape[1]
+    dxi = scale * (dscores * qk).reshape(b, -1).sum(axis=1)
+    ddelta = dscores.sum(axis=1).reshape(b, -1, t).sum(axis=1)
+    return out, per_head * dq, per_head * dk, dv, dxi, ddelta
 
 
 def loop_mixture(x, mix, g):
@@ -421,6 +453,43 @@ class TestHeadStack:
         with pytest.raises(ScalarRangeError) as exc:
             correlated_attention(q, q, q, raw)
         assert (exc.value.name, exc.value.head) == ("tau_raw", 1)
+
+
+class TestBlockedMatchesDense:
+    """The row-blocked log-sum-exp temporal kernel against the dense kernel it
+    replaced: outputs and every gradient within 1e-12, at the default block
+    size and at one small enough that T splits into uneven row blocks."""
+
+    @pytest.mark.parametrize("t", [2, 3, 17, 96, 512])
+    @pytest.mark.parametrize("heads, samples", [(1, 1), (3, 3), (16, 4)],
+                             ids=["h1", "h3", "h16"])
+    @pytest.mark.parametrize("kind", ["self", "destat"])
+    @pytest.mark.parametrize("blocks", ["default", "uneven"])
+    def test_matches_dense(self, monkeypatch, t, heads, samples, kind, blocks):
+        rng = np.random.default_rng(t + heads)
+        q, k, v, g = (rng.normal(size=(heads, t, 4)) for _ in range(4))
+        if blocks == "uneven":
+            rows = t // 3 + 1           # T = 3, 17, 96, 512 end on a shorter block
+            monkeypatch.setattr(A, "BLOCK_DOUBLES", heads * t * rows)
+            sizes = [len(range(t)[r]) for r in A._row_blocks(heads, t)]
+            assert sizes[0] == rows and sum(sizes) == t
+            assert t == 2 or sizes[-1] < rows
+        if kind == "self":
+            xi = delta = None
+            out, cache = self_attention_fwd(q, k, v)
+            got = (out, *self_attention_bwd(cache, g), None, None)
+        else:
+            xi = rng.uniform(0.5, 2.0, size=samples)
+            delta = rng.normal(size=(samples, t))
+            out, cache = destationary_attention_fwd(q, k, v, xi, delta)
+            got = (out, *destationary_attention_bwd(cache, g))
+        want = dense_attention(q, k, v, xi, delta, g)
+        for name, x, y in zip(("out", "dq", "dk", "dv", "dxi", "ddelta"), got, want):
+            if y is None:
+                assert x is None, name
+            else:
+                scale = max(1.0, float(np.abs(y).max()))
+                assert np.abs(x - y).max() <= 1e-12 * scale, name
 
 
 class TestCorrelatedAttentionGradients:

@@ -424,6 +424,20 @@ class TestRunConfig:
         assert re.match(r"epoch 0, batch 1: " + name + r": \w+ must be positive",
                         reason), reason
 
+    def test_nonfinite_gradient_names_parameter(self, toy_dataset, capsys, monkeypatch):
+        backward = M.model_backward
+
+        def plant_nan(dpred, cache, params, cfg):
+            backward(dpred, cache, params, cfg)
+            params["block0.w_qkv"].grad[0, 1, 0, 2] = np.nan
+
+        monkeypatch.setattr(M, "model_backward", plant_nan)
+        assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST]) \
+            == cli.EXIT_NUMERICAL
+        abort = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert abort == {"event": "abort",
+                         "reason": "epoch 0, batch 0: non-finite gradient in block0.w_qkv"}
+
     @pytest.mark.parametrize("flags, file_text, batch", [
         ([], None, 128),
         ([], "batch_size = 4\n", 4),

@@ -1,6 +1,7 @@
 import collections
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from lagattn.synthdata import (
     split_dataset,
     to_training_sample,
 )
+from lagattn.xcorr import topk_count
 
 
 def rand(shape, seed=0):
@@ -474,6 +476,75 @@ class TestGradients:
 
         report = check_gradient(f, params, step=1e-5, tolerance=1e-4)
         assert report.passed, [(e.name, e.max_rel_err) for e in report.failures()]
+
+    def test_destat_chunk_across_row_blocks(self, monkeypatch):
+        # c2's model, step and tolerance on a chunk of two samples, with row
+        # blocks of 3 of the 8 score rows, so the gradient crosses blocks
+        cfg = M.RunConfig(task="imputation", d_in=3, d_model=4, d_k=4,
+                          h=2, m=1, n_blocks=1, temporal="destat")
+        params = M.init_params(cfg, seed=1)
+        batch = [toy_sample(seed=s) for s in (20, 21)]
+        assert M.chunk_size(cfg, 8) >= len(batch)
+        monkeypatch.setattr(A, "BLOCK_DOUBLES", 2 * 8 * 3)
+        assert len(A._row_blocks(2, 8)) == 3
+
+        def f(ps):
+            zero_grads(ps)
+            return M.batch_loss_and_grad(batch, ps, cfg)
+
+        report = check_gradient(f, params, step=1e-5, tolerance=1e-4)
+        assert report.passed, [(e.name, e.max_rel_err) for e in report.failures()]
+
+
+def _arrays(obj):
+    """Every array reachable from a cache through tuples, lists, dicts and
+    dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _arrays(item)
+    elif hasattr(obj, "__dataclass_fields__"):
+        for name in obj.__dataclass_fields__:
+            yield from _arrays(getattr(obj, name))
+
+
+class TestMemory:
+    """At the benchmark's long shape (T = 512, destat, classification) the
+    forward caches hold no T x T array and no gather of the k + 1 lags, and
+    one single-sample step stays under a fixed allocation peak."""
+
+    T = 512
+
+    def _setup(self):
+        cfg = M.RunConfig(task="classification", d_in=6, d_model=16, d_k=8, h=4, m=1,
+                          temporal="destat")
+        params = M.init_params(cfg, seed=0)
+        return cfg, params, (rand((self.T, 6), 70), None, None, 1)
+
+    def test_cache_holds_no_square_or_gather(self):
+        cfg, params, sample = self._setup()
+        _, cache = M.model_forward(sample[0], params, cfg)
+        gather = (self.T, (topk_count(cfg.c, self.T) + 1) * cfg.d_k)
+        arrays = list(_arrays(cache))
+        assert len(arrays) > 20
+        for a in arrays:
+            assert a.size < self.T * self.T, a.shape
+            assert not (a.ndim == 3 and a.shape[1:] == gather), a.shape
+
+    def test_step_allocation_peak(self):
+        cfg, params, sample = self._setup()
+        M.batch_loss_and_grad([sample], params, cfg)        # warm up
+        tracemalloc.start()
+        try:
+            M.batch_loss_and_grad([sample], params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6, peak       # 6 MB
 
 
 class TestTraining:
