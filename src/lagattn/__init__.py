@@ -1,19 +1,13 @@
 """Correlated attention for multivariate time series.
 
 Lagged cross-correlation scoring with TopK lag selection, four attention
-mechanisms (self, de-stationary, correlated, mixture-of-head), an
-encoder-only model with hand-derived gradients, synthetic data with planted
-lags, and a CLI for data generation, training, evaluation and ablations.
+mechanisms on head stacks (self, de-stationary, correlated, mixture-of-head:
+``*_fwd`` / ``*_bwd`` pairs in ``lagattn.attention``), an encoder-only model
+with hand-derived gradients, synthetic data with planted lags, and a CLI for
+data generation, training, evaluation and ablations.
 """
 
-from .attention import (
-    CAB_RAW,
-    CabOptions,
-    correlated_attention,
-    destationary_attention,
-    mixture_of_head,
-    self_attention,
-)
+from .attention import CAB_RAW, CabOptions
 from .numerics import (
     Param,
     check_gradient,
@@ -34,10 +28,9 @@ from .xcorr import (
 
 __all__ = [
     "CAB_RAW", "CabOptions", "Param", "LagScoreVector", "LagSelection",
-    "self_attention", "destationary_attention", "correlated_attention",
-    "mixture_of_head", "check_gradient", "softmax_cols",
-    "l2_normalize_cols", "roll", "lag_mass", "score_lags", "select_lags",
-    "topk_lags", "xcorr_all_lags_fft", "xcorr_all_lags_naive",
+    "check_gradient", "softmax_cols", "l2_normalize_cols", "roll", "lag_mass",
+    "score_lags", "select_lags", "topk_lags", "xcorr_all_lags_fft",
+    "xcorr_all_lags_naive",
 ]
 
 __version__ = "0.1.0"

@@ -1,11 +1,11 @@
 """The four attention mechanisms: self, de-stationary, correlated, mixture-of-head.
 
 Self, de-stationary and correlated attention act on a head stack: q, k and
-v are H x T x d, and every head runs in the same numpy calls. A 2-D input
-is a stack of one and gives 2-D results. Correlated heads carry their own
-scalars (one array entry per head) and pick their own lags. Mixture-of-head
-takes one T x d_model sample or a B x T x d_model chunk of samples and runs
-a block's heads as two stacks: one fused projection x @ [W_q | W_k | W_v]
+v are H x T x d, and every head runs in the same numpy calls (one head is a
+stack of one). Correlated heads carry their own scalars (one array entry
+per head) and pick their own lags. Mixture-of-head takes a B x T x d_model
+chunk of samples (one sample is a chunk of one) and runs a block's heads as
+two stacks: one fused projection x @ [W_q | W_k | W_v]
 for all h heads of every sample, then one temporal call on the B m heads
 [:m] and one correlated call on the B (h - m) heads [m:], each stack
 holding its heads sample after sample. Its weights are stacked over the
@@ -66,18 +66,12 @@ class CabOptions:
 
 
 def _heads(q, k, v):
-    """(q, k, v) as H x T x d stacks, and whether they came as matrices."""
-    q, k, v = (as_matrix(a, stack=True) for a in (q, k, v))
-    if not q.ndim == k.ndim == v.ndim == (3 if q.ndim > 2 else 2):
-        raise ShapeError(f"expected matrices or head stacks, got q {q.shape}, "
+    """(q, k, v) as float64 H x T x d stacks."""
+    q, k, v = (as_matrix(a) for a in (q, k, v))
+    if not q.ndim == k.ndim == v.ndim == 3:
+        raise ShapeError(f"expected H x T x d head stacks, got q {q.shape}, "
                          f"k {k.shape}, v {v.shape}")
-    single = q.ndim == 2
-    return ((q[None], k[None], v[None]) if single else (q, k, v)), single
-
-
-def _unstack(single, *arrays):
-    """The results of one head without the stack axis, if it came as one."""
-    return tuple(a[0] for a in arrays) if single else arrays
+    return q, k, v
 
 
 def _t(a):
@@ -101,7 +95,7 @@ BLOCK_DOUBLES = 2 ** 15
 # scales and shifts (de-stationary attention only; None for self attention),
 # lse the log-sum-exp of each score row (H x T) and out = softmax V.
 # Backward recomputes each block's softmax as exp(scores - lse).
-DotCache = namedtuple("DotCache", "q k v xi delta lse out single")
+DotCache = namedtuple("DotCache", "q k v xi delta lse out")
 
 
 def _per_head(a, n: int) -> np.ndarray:
@@ -129,15 +123,15 @@ def _factors(q, k, xi, delta, lse=0.0):
     if xi is None:
         a[..., :d], b[:, d] = q / scale, 0.0
     else:
-        a[..., :d] = q * (_per_head(xi.reshape(-1), n) / scale)[:, None, None]
-        b[:, d] = _per_head(delta.reshape(xi.size, -1), n) / scale
+        a[..., :d] = q * (_per_head(xi, n) / scale)[:, None, None]
+        b[:, d] = _per_head(delta, n) / scale
     a[..., d], a[..., d + 1] = 1.0, -lse
     b[:, :d], b[:, d + 1] = k.transpose(0, 2, 1), 1.0
     return a, b
 
 
 def _dot_attention_fwd(q, k, v, xi, delta):
-    (q, k, v), single = _heads(q, k, v)
+    q, k, v = _heads(q, k, v)
     if q.shape != k.shape or q.shape[:2] != v.shape[:2]:
         raise ShapeError(f"inconsistent shapes: q {q.shape}, k {k.shape}, v {v.shape}")
     a, b = _factors(q, k, xi, delta)
@@ -153,14 +147,13 @@ def _dot_attention_fwd(q, k, v, xi, delta):
         total = attn.sum(axis=-1, keepdims=True)
         out[:, rows] = (attn @ v) / total
         lse[:, rows] = (top + np.log(total))[..., 0]
-    return _unstack(single, out)[0], DotCache(q, k, v, xi, delta, lse, out, single)
+    return out, DotCache(q, k, v, xi, delta, lse, out)
 
 
 def _dot_attention_bwd(cache, g):
     """Returns (dq, dk, dv, dxi, ddelta): dxi and ddelta are each head's
     gradients of its sample's xi and delta (None for self attention)."""
     c = cache
-    g = g[None] if c.single else g
     (n, t, d), d_v = c.q.shape, c.v.shape[-1]
     a, b = _factors(c.q, c.k, c.xi, c.delta, c.lse)
     # [g, -rowdot] [V, 1]^T = g V^T less the row sums of softmax * (g V^T),
@@ -188,9 +181,9 @@ def _dot_attention_bwd(cache, g):
         # the scores' gradient dS = dz / sqrt(d_k) gives dxi = <dS, Q K^T> =
         # sum(Q * (dS K)) and dq = xi dS K
         dxi = (c.q * dzk).sum(axis=(1, 2)) / scale
-        dq = dzk * (_per_head(c.xi.reshape(-1), n) / scale)[:, None, None]
+        dq = dzk * (_per_head(c.xi, n) / scale)[:, None, None]
         ddelta /= scale
-    return (*_unstack(c.single, dq, dk, dv), dxi, ddelta)
+    return dq, dk, dv, dxi, ddelta
 
 
 def self_attention_fwd(q, k, v):
@@ -201,38 +194,28 @@ def self_attention_bwd(cache, g):
     return _dot_attention_bwd(cache, g)[:3]
 
 
-def self_attention(q, k, v):
-    return self_attention_fwd(q, k, v)[0]
-
-
 def destationary_attention_fwd(q, k, v, xi, delta):
-    """A float ``xi`` and a length-T ``delta`` belong to one sample and are
-    shared by every head of the stack. For a stack of B samples' heads,
-    sample after sample, ``xi`` holds B values and ``delta`` is B x T."""
+    """The stack holds B samples' heads, sample after sample: ``xi`` holds B
+    values and ``delta`` is B x T, one scale and shift per sample, shared by
+    its heads."""
     xi = np.asarray(xi, dtype=np.float64)
     if not xi.min() > 0:
         raise ScalarRangeError("xi", None, f"xi must be positive, got {xi}")
     delta = np.asarray(delta, dtype=np.float64)
-    t, n = np.shape(k)[-2], np.shape(k)[0] if np.ndim(k) > 2 else 1
-    if delta.shape != xi.shape + (t,) or n % xi.size:
+    n, t = np.shape(k)[0], np.shape(k)[-2]
+    if xi.ndim != 1 or delta.shape != (xi.size, t) or n % xi.size:
         raise ShapeError(f"delta {delta.shape} and xi {xi.shape} do not fit "
                          f"{n} heads of length T {t}")
     return _dot_attention_fwd(q, k, v, xi, delta)
 
 
 def destationary_attention_bwd(cache, g):
-    """Returns (dq, dk, dv, dxi, ddelta), dxi and ddelta summed over the heads
-    of each sample and shaped like the forward's xi and delta."""
+    """Returns (dq, dk, dv, dxi, ddelta), dxi (B) and ddelta (B x T) summed
+    over the heads of each sample."""
     dq, dk, dv, dxi, ddelta = _dot_attention_bwd(cache, g)
-    xi = cache.xi
-    b, t = xi.size, ddelta.shape[-1]
-    dxi = dxi.reshape(b, -1).sum(axis=1)
-    ddelta = ddelta.reshape(b, -1, t).sum(axis=1)
-    return dq, dk, dv, dxi.reshape(xi.shape)[()], ddelta.reshape(xi.shape + (t,))
-
-
-def destationary_attention(q, k, v, xi, delta):
-    return destationary_attention_fwd(q, k, v, xi, delta)[0]
+    b, t = cache.xi.size, ddelta.shape[-1]
+    dxi, ddelta = dxi.reshape(b, -1).sum(axis=1), ddelta.reshape(b, -1, t).sum(axis=1)
+    return dq, dk, dv, dxi, ddelta
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +229,14 @@ def destationary_attention(q, k, v, xi, delta):
 # softmaxes at tau. The gathers of K_hat and V over all_lags, H x T x (k+1) d,
 # are not kept: backward gathers them again from k_hat and v.
 CabCache = namedtuple("CabCache", "q k v q_hat k_hat raw lam beta tau all_lags coefs "
-                                  "weights omega a s scores selection single")
+                                  "weights omega a s scores selection")
 
 
 def correlated_attention_fwd(q, k, v, raw: dict, opts: CabOptions = CabOptions()):
     """``raw`` holds the scalars keyed like ``CAB_RAW``, one value per head
     (or one for all). Each head's k + 1 terms share one gather of K_hat and
     V over its lags, and sum in one product."""
-    (q, k, v), single = _heads(q, k, v)
+    q, k, v = _heads(q, k, v)
     if not (q.shape == k.shape == v.shape):
         raise ShapeError(f"CAB needs equal shapes, got q {q.shape}, k {k.shape}, v {v.shape}")
     n, t, d = q.shape
@@ -289,16 +272,14 @@ def correlated_attention_fwd(q, k, v, raw: dict, opts: CabOptions = CabOptions()
     a = (roll(k_hat, all_lags).transpose(0, 2, 1) @ q_hat).reshape(n, -1, d, d)
     s = softmax_cols(a, tau)
     out = roll(v, all_lags) @ (coefs[..., None, None] * s).reshape(n, -1, d)
-    return _unstack(single, out)[0], CabCache(
-        q, k, v, q_hat, k_hat, raw, lam, beta, tau, all_lags, coefs, weights, omega,
-        a, s, scores, selection, single)
+    return out, CabCache(q, k, v, q_hat, k_hat, raw, lam, beta, tau, all_lags, coefs,
+                         weights, omega, a, s, scores, selection)
 
 
 def correlated_attention_bwd(cache, g):
     """Returns (dq, dk, dv, draw), ``draw`` keyed like ``CAB_RAW`` with one
-    value per head (a float for a single head)."""
+    value per head."""
     c = cache
-    g = g[None] if c.single else g
     n, d = c.q.shape[0], c.q.shape[-1]
     coefs = c.coefs[..., None, None]
     # <g, term_l> for term_l = roll(V, l) S_l, read off roll(V, l)^T g
@@ -331,13 +312,7 @@ def correlated_attention_bwd(cache, g):
     draw = {"beta_raw": dbeta * (c.beta * (1.0 - c.beta)),
             "tau_raw": dtau * sigmoid(c.raw["tau_raw"]),
             "lambda_raw": dlam * (c.lam * (1.0 - c.lam))}
-    if c.single:
-        draw = {name: float(val[0]) for name, val in draw.items()}
-    return (*_unstack(c.single, dq, dk, dv), draw)
-
-
-def correlated_attention(q, k, v, raw: dict, opts: CabOptions = CabOptions()):
-    return correlated_attention_fwd(q, k, v, raw, opts)[0]
+    return dq, dk, dv, draw
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +332,17 @@ class MixtureWeights:
     temporal: str = "self"           # "self" | "destat"
     # correlated heads' scalars keyed like CAB_RAW: h - m values, or one float
     raw: dict = field(default_factory=lambda: CAB_RAW)
-    # de-stationary scalars, used by "destat" heads only: one xi and a
-    # length-T delta per sample (a float and a vector for one sample)
-    xi: float | np.ndarray = 1.0
+    # de-stationary scalars, used by "destat" heads only: B values of xi and
+    # a B x T delta, one scale and shift per sample of the chunk
+    xi: np.ndarray | None = None
     delta: np.ndarray | None = None
     cab: CabOptions = CabOptions()   # shared by every correlated head
 
 
 # What mixture_of_head_bwd needs: the B x T x d_model input, the weights, the
-# fused projection (d_model x 3 h d_k), each stack's cache, the concatenated
-# head outputs ((B T) x h d_k) and whether the input was one sample.
-MixCache = namedtuple("MixCache", "x mix w_qkv temporal_cache cab_cache concat single")
+# fused projection (d_model x 3 h d_k), each stack's cache and the
+# concatenated head outputs ((B T) x h d_k).
+MixCache = namedtuple("MixCache", "x mix w_qkv temporal_cache cab_cache concat")
 
 
 def _validate_mixture(x, mix: MixtureWeights):
@@ -397,13 +372,10 @@ def _fold(qkv):
 
 
 def mixture_of_head_fwd(x, mix: MixtureWeights):
-    """``x`` is one T x d_model sample or a B x T x d_model chunk; the output
-    has its shape."""
-    x = as_matrix(x, stack=True)
-    if x.ndim > 3:
-        raise ShapeError(f"expected a sample or a chunk of samples, got {x.shape}")
-    single = x.ndim == 2
-    x = x[None] if single else x
+    """``x`` is a B x T x d_model chunk; the output has its shape."""
+    x = as_matrix(x)
+    if x.ndim != 3:
+        raise ShapeError(f"expected a B x T x d_model chunk, got {x.shape}")
     h, d_k = _validate_mixture(x, mix)
     (b, t, d_model), m = x.shape, mix.m
     w_qkv = mix.w_qkv.reshape(d_model, -1)
@@ -427,8 +399,7 @@ def mixture_of_head_fwd(x, mix: MixtureWeights):
         outs.append(out.reshape(b, h - m, t, d_k))
     concat = np.concatenate(outs, axis=1).transpose(0, 2, 1, 3).reshape(b * t, h * d_k)
     out = (concat @ mix.w_o).reshape(b, t, d_model)
-    return _unstack(single, out)[0], MixCache(x, mix, w_qkv, temporal_cache,
-                                              cab_cache, concat, single)
+    return out, MixCache(x, mix, w_qkv, temporal_cache, cab_cache, concat)
 
 
 def mixture_of_head_bwd(cache, g):
@@ -436,8 +407,8 @@ def mixture_of_head_bwd(cache, g):
 
     ``dw_qkv`` has the shape of the mixture's w_qkv. ``draw`` maps each
     ``CAB_RAW`` name to one gradient per correlated head (empty without
-    them); it and the weight gradients sum over the samples. ``dxi`` and
-    ``ddelta`` have the shapes of the mixture's xi and delta (0.0 and None
+    them); it and the weight gradients sum over the samples. ``dxi`` (B) and
+    ``ddelta`` (B x T) have the shapes of the mixture's xi and delta (None
     without de-stationary heads).
     """
     c = cache
@@ -447,7 +418,7 @@ def mixture_of_head_bwd(cache, g):
     # the gradient of the fused projection, written through head-major views
     dflat = np.empty((b * t, c.w_qkv.shape[1]))
     dqkv = dflat.reshape(b, t, 3, h, d_k).transpose(2, 0, 3, 1, 4)
-    draw, dxi, ddelta = {}, 0.0, None
+    draw, dxi, ddelta = {}, None, None
     if m and c.mix.temporal == "self":
         dq, dk, dv = self_attention_bwd(c.temporal_cache,
                                         dheads[:, :m].reshape(-1, t, d_k))
@@ -463,8 +434,4 @@ def mixture_of_head_bwd(cache, g):
         draw = {name: grads.reshape(b, h - m).sum(axis=0) for name, grads in draw.items()}
     dw_qkv = (c.x.reshape(b * t, d_model).T @ dflat).reshape(c.mix.w_qkv.shape)
     dx = (dflat @ c.w_qkv.T).reshape(b, t, d_model)
-    return _unstack(c.single, dx)[0], dw_qkv, draw, c.concat.T @ g, dxi, ddelta
-
-
-def mixture_of_head(x, mix: MixtureWeights):
-    return mixture_of_head_fwd(x, mix)[0]
+    return dx, dw_qkv, draw, c.concat.T @ g, dxi, ddelta

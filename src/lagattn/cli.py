@@ -175,7 +175,8 @@ def load_data(prefix: str, scored_only: bool = False) -> Data:
     else:
         splits = {name: S.read_dataset(f"{prefix}.{name}")
                   for name in ("train", "val", "test")}
-    first = next(iter(splits))
+    first, task = next(iter(splits)), splits["test"][1]
+    entry = {"imputation": "mask", "classification": "label"}.get(task)
     for name, (samples, _) in splits.items():
         if not samples or samples[0].values.shape[0] < 2:
             raise S.DatasetParseError(f"{prefix}.{name}: the {name} split needs at "
@@ -184,7 +185,14 @@ def load_data(prefix: str, scored_only: bool = False) -> Data:
         if d != d_first:
             raise S.DatasetParseError(f"{prefix}.{name}: the {name} split has d = {d} "
                                       f"features, the {first} split {d_first}")
-    task = splits["test"][1]
+        # a split's samples are stacked into chunks: each carries the entry
+        # its task reads, and all carry anomaly flags or none does
+        for i, s in enumerate(samples):
+            if entry and getattr(s, entry) is None:
+                raise S.DatasetParseError(f"{prefix}.{name}: sample {i} has no {entry}")
+            if (s.anomaly_flags is None) != (samples[0].anomaly_flags is None):
+                raise S.DatasetParseError(f"{prefix}.{name}: samples 0 and {i} disagree "
+                                          "on anomaly flags")
     read = {name: [S.to_training_sample(s, task) for s in samples]
             for name, (samples, _) in splits.items()}
     everything = [s for samples in read.values() for s in samples]

@@ -75,7 +75,7 @@ class StationaryStats:
 
 def stationarize(x, epsilon: float = SIGMA_EPS):
     """Standardize each feature of each sample over its time axis."""
-    x = as_matrix(x, stack=True)
+    x = as_matrix(x)
     mu = x.mean(axis=-2, keepdims=True)
     xc = x - mu
     sigma = np.maximum(np.sqrt((xc * xc).mean(axis=-2, keepdims=True)), epsilon)
@@ -83,8 +83,7 @@ def stationarize(x, epsilon: float = SIGMA_EPS):
 
 
 def destationarize(xp, stats: StationaryStats):
-    return (as_matrix(xp, stack=True) * stats.sigma[..., None, :]
-            + stats.mu[..., None, :])
+    return as_matrix(xp) * stats.sigma[..., None, :] + stats.mu[..., None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -273,21 +272,22 @@ def _positional_encoding(t: int, d: int) -> np.ndarray:
 
 # What model_backward needs: the B x T x d input and its stationarization,
 # the (B T) x d_model encoder output, per block the mixture cache
-# (attention.MixCache), the layernorm caches and the feed-forward activations;
-# the de-stationary projector caches (None without destat heads), and whether
-# the input was one sample.
-ModelCache = namedtuple("ModelCache", "x xp stats hrep blocks destat single")
+# (attention.MixCache), the layernorm caches and the feed-forward activations,
+# and the de-stationary projector caches (None without destat heads).
+ModelCache = namedtuple("ModelCache", "x xp stats hrep blocks destat")
 BlockCache = namedtuple("BlockCache", "attn ln1 r1 a1 ln2")
 
 
 def model_forward(x, params: dict, cfg: RunConfig):
     """Full forward pass: stationarize, embed, encoder blocks, task head.
 
-    ``x`` is one T x d sample or a B x T x d chunk. Returns (prediction,
-    cache), the prediction per sample: for reconstruction tasks destationarized
-    back to the input scale, for classification the logits over classes.
+    ``x`` is a B x T x d chunk, or one T x d sample that runs as a chunk of
+    one and gets its prediction without the sample axis. Returns (prediction,
+    cache), the prediction per sample: for reconstruction tasks
+    destationarized back to the input scale, for classification the logits
+    over classes.
     """
-    x = as_matrix(x, stack=True)
+    x = as_matrix(x)
     if x.ndim > 3 or x.shape[-1] != cfg.d_in:
         raise ShapeError(f"input of shape {x.shape}: expected T x {cfg.d_in} or "
                          f"B x T x {cfg.d_in}")
@@ -296,7 +296,7 @@ def model_forward(x, params: dict, cfg: RunConfig):
     n, t, _ = x.shape
     xp, stats = stationarize(x)
 
-    xi, delta = 1.0, None
+    xi = delta = None
     destat_caches = None
     if cfg.temporal == "destat" and cfg.n_temporal > 0:
         stats_vec = np.concatenate([stats.mu, stats.sigma], axis=1)
@@ -355,16 +355,16 @@ def model_forward(x, params: dict, cfg: RunConfig):
     else:
         recon_p = hrep @ params["head.w"].value + params["head.b"].value
         pred = destationarize(recon_p.reshape(n, t, -1), stats)
-    cache = ModelCache(x, xp, stats, hrep, block_caches, destat_caches, single)
+    cache = ModelCache(x, xp, stats, hrep, block_caches, destat_caches)
     return (pred[0] if single else pred), cache
 
 
 def model_backward(dpred, cache, params: dict, cfg: RunConfig):
     """Accumulate d(loss)/d(param) into Param.grad for every registry entry,
-    summed over the samples of the chunk."""
-    x, xp, stats, hrep, block_caches, destat_caches, single = cache
+    summed over the samples of the chunk; ``dpred`` has the shape of the
+    chunk's prediction (B x T x d, or B x n_classes)."""
+    x, xp, stats, hrep, block_caches, destat_caches = cache
     n, t, _ = x.shape
-    dpred = dpred[None] if single else dpred
 
     if cfg.task == "classification":
         dh = np.repeat(dpred @ params["head.w"].value.T, t, axis=0) / t
@@ -401,8 +401,8 @@ def model_backward(dpred, cache, params: dict, cfg: RunConfig):
         for name, grad in draw.items():
             if f"block{b}.{name}" in params:    # fixed CAB scalars have no entry
                 params[f"block{b}.{name}"].grad += grad
-        dxi_total += dxi
         if ddelta is not None:
+            dxi_total += dxi
             ddelta_total += ddelta
         dh = dr1_in + dx_attn.reshape(n * t, -1)
 
@@ -445,8 +445,8 @@ def task_loss(pred, target, task: str, mask=None):
         loss = -np.log(np.maximum(p[rows, cols], 1e-300))
         p[rows, cols] -= 1.0
         return loss.reshape(labels.shape)[()], p.reshape(logits.shape)
-    pred = as_matrix(pred, stack=True)
-    target = as_matrix(target, stack=True)
+    pred = as_matrix(pred)
+    target = as_matrix(target)
     if pred.shape != target.shape:
         raise ShapeError(f"prediction {pred.shape} vs target {target.shape}")
     if task == "imputation":
@@ -488,8 +488,8 @@ def chunk_size(cfg: RunConfig, t: int) -> int:
 
 def _chunks(samples, cfg: RunConfig):
     """The samples, in order, as chunks of (x, target, mask, label) stacked
-    along a leading sample axis (None where the task has no such entry); a
-    chunk of one is the sample itself."""
+    along a leading sample axis, a chunk of one like any other (None where
+    the task has no such entry)."""
     if not samples:
         return
     n = len(samples)
@@ -497,8 +497,7 @@ def _chunks(samples, cfg: RunConfig):
     # the fewest chunks the bound allows, of near-equal size
     for i in range(count):
         chunk = samples[i * n // count:(i + 1) * n // count]
-        yield chunk[0] if len(chunk) == 1 else tuple(
-            None if col[0] is None else np.stack(col) for col in zip(*chunk))
+        yield tuple(None if col[0] is None else np.stack(col) for col in zip(*chunk))
 
 
 def _chunk_loss(chunk, params: dict, cfg: RunConfig):

@@ -40,12 +40,11 @@ class DegenerateSeriesError(ValueError):
     """Series length too short for the requested operation."""
 
 
-def as_matrix(a, stack: bool = False) -> np.ndarray:
-    """``a`` as a float64 2-D matrix (``stack``: or a stack of them along
-    leading axes)."""
+def as_matrix(a) -> np.ndarray:
+    """``a`` as a float64 matrix or stack of matrices along leading axes."""
     a = np.asarray(a, dtype=np.float64)
-    if (a.ndim < 2 if stack else a.ndim != 2) or 0 in a.shape:
-        raise ShapeError(f"expected a 2-D matrix with positive dims, got shape {a.shape}")
+    if a.ndim < 2 or 0 in a.shape:
+        raise ShapeError(f"expected matrices with positive dims, got shape {a.shape}")
     return a
 
 
@@ -59,7 +58,7 @@ def _per_matrix(temperature, ndim: int) -> np.ndarray:
 def softmax_cols(a: np.ndarray, temperature=1.0) -> np.ndarray:
     """Column-stochastic softmax of a/temperature with max-subtraction. For a
     stack, ``temperature`` may hold one value per index of its leading axes."""
-    a = as_matrix(a, stack=True)
+    a = as_matrix(a)
     temp = _per_matrix(temperature, a.ndim)
     if not temp.min() > 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
@@ -87,7 +86,7 @@ def _col_norms(a: np.ndarray) -> np.ndarray:
 
 def l2_normalize_cols(a: np.ndarray, epsilon: float = EPS_L2) -> np.ndarray:
     """Divide each column by max(its l2 norm, epsilon)."""
-    a = as_matrix(a, stack=True)
+    a = as_matrix(a)
     if not epsilon > 0:
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
     return a / np.maximum(_col_norms(a), epsilon)
@@ -129,7 +128,7 @@ def roll(a: np.ndarray, lag) -> np.ndarray:
     sit side by side, T x (n d) with column block l shifted by lag l, so one
     matrix product with the result sums over the lags. One gather for all.
     """
-    a = as_matrix(a, stack=True)
+    a = as_matrix(a)
     rows = _lag_rows(lag, a.shape[:-2], a.shape[-2], np.subtract)
     return np.take(a.reshape(-1, a.shape[-1]), rows, axis=0).reshape(
         a.shape[:-1] + (-1,))

@@ -38,7 +38,7 @@ class LagSelection:
 
 
 def _check_pair(q: np.ndarray, k: np.ndarray):
-    q, k = as_matrix(q, stack=True), as_matrix(k, stack=True)
+    q, k = as_matrix(q), as_matrix(k)
     if q.shape != k.shape:
         raise ShapeError(f"query/key shape mismatch: {q.shape} vs {k.shape}")
     return q, k

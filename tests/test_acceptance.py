@@ -18,9 +18,9 @@ from lagattn.attention import (
     CAB_RAW,
     CabOptions,
     MixtureWeights,
-    correlated_attention,
-    mixture_of_head,
-    self_attention,
+    correlated_attention_fwd,
+    mixture_of_head_fwd,
+    self_attention_fwd,
 )
 from lagattn.numerics import (
     check_gradient,
@@ -138,7 +138,8 @@ def test_c4_endpoint_identities(report):
 
     # beta = 0: exactly the instantaneous-only output
     q, k, v = rand((12, 4), 20), rand((12, 4), 21), rand((12, 4), 22)
-    out = correlated_attention(q, k, v, CAB_RAW, CabOptions(filtering=False))
+    out = correlated_attention_fwd(q[None], k[None], v[None], CAB_RAW,
+                                   CabOptions(filtering=False))[0][0]
     qh, kh = l2_normalize_cols(q), l2_normalize_cols(k)
     inst = v @ softmax_cols(kh.T @ qh, float(softplus(CAB_RAW["tau_raw"])))
     if not np.array_equal(out, inst):
@@ -150,16 +151,17 @@ def test_c4_endpoint_identities(report):
     # drawn head by head: W_q, W_k, W_v of head 0, then of head 1, ...
     w_qkv = rng.normal(size=(3, 3, 6, 2)).transpose(2, 1, 0, 3)
     w_o = rng.normal(size=(6, 6))
-    mixed = mixture_of_head(x, MixtureWeights(w_qkv, w_o, m=3))
+    mixed = mixture_of_head_fwd(x[None], MixtureWeights(w_qkv, w_o, m=3))[0][0]
     ref = np.concatenate(
-        [self_attention(*(x @ w_qkv[:, j, i] for j in range(3))) for i in range(3)],
-        axis=1) @ w_o
+        [self_attention_fwd(*((x @ w_qkv[:, j, i])[None] for j in range(3)))[0][0]
+         for i in range(3)], axis=1) @ w_o
     if not np.array_equal(mixed, ref):
         ok, detail = False, detail + ["m=h"]
 
     # d_k = 1, beta = 0: returns V exactly
     q1, k1, v1 = rand((9, 1), 25), rand((9, 1), 26), rand((9, 1), 27)
-    out1 = correlated_attention(q1, k1, v1, CAB_RAW, CabOptions(filtering=False))
+    out1 = correlated_attention_fwd(q1[None], k1[None], v1[None], CAB_RAW,
+                                    CabOptions(filtering=False))[0][0]
     if not np.array_equal(out1, v1):
         ok, detail = False, detail + ["d_k=1"]
 

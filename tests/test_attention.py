@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,16 +10,12 @@ from lagattn.attention import (
     CAB_RAW,
     CabOptions,
     MixtureWeights,
-    correlated_attention,
     correlated_attention_bwd,
     correlated_attention_fwd,
-    destationary_attention,
     destationary_attention_bwd,
     destationary_attention_fwd,
-    mixture_of_head,
     mixture_of_head_bwd,
     mixture_of_head_fwd,
-    self_attention,
     self_attention_bwd,
     self_attention_fwd,
 )
@@ -220,35 +217,42 @@ def stacked_projections(rng, n, d_model, d_k):
 class TestSelfAttention:
     def test_t1_returns_v(self):
         v = rand((1, 3), 1)
-        assert np.array_equal(self_attention(rand((1, 2), 0), rand((1, 2), 2), v), v)
+        q, k = rand((1, 2), 0), rand((1, 2), 2)
+        assert np.array_equal(self_attention_fwd(q[None], k[None], v[None])[0][0], v)
 
     def test_orthogonal_q_gives_uniform_average(self):
         k = rand((4, 3), 3)
         q = np.zeros((4, 3))
         v = rand((4, 2), 4)
-        out = self_attention(q, k, v)
+        out = self_attention_fwd(q[None], k[None], v[None])[0][0]
         assert np.allclose(out, np.tile(v.mean(axis=0), (4, 1)), atol=1e-12)
 
     def test_matches_reference(self):
         q, k, v = rand((5, 3), 5), rand((5, 3), 6), rand((5, 3), 7)
-        assert np.allclose(self_attention(q, k, v),
+        assert np.allclose(self_attention_fwd(q[None], k[None], v[None])[0][0],
                            reference_self_attention(q, k, v), atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            self_attention(rand((5, 3)), rand((4, 3)), rand((5, 3)))
+            self_attention_fwd(rand((1, 5, 3)), rand((1, 4, 3)), rand((1, 5, 3)))
+        with pytest.raises(ShapeError):     # a matrix is not a head stack
+            self_attention_fwd(rand((5, 3)), rand((5, 3)), rand((5, 3)))
 
 
 class TestDestationaryAttention:
     def test_degenerates_to_self_attention(self):
         q, k, v = rand((6, 3), 8), rand((6, 3), 9), rand((6, 3), 10)
-        out = destationary_attention(q, k, v, 1.0, np.zeros(6))
-        assert np.allclose(out, self_attention(q, k, v), atol=1e-14)
+        out = destationary_attention_fwd(q[None], k[None], v[None], np.array([1.0]),
+                                         np.zeros((1, 6)))[0]
+        assert np.allclose(out, self_attention_fwd(q[None], k[None], v[None])[0],
+                           atol=1e-14)
 
     def test_constant_delta_shift_invariance(self):
         q, k, v = rand((5, 2), 11), rand((5, 2), 12), rand((5, 2), 13)
-        base = destationary_attention(q, k, v, 2.0, np.zeros(5))
-        shifted = destationary_attention(q, k, v, 2.0, 3.7 * np.ones(5))
+        base = destationary_attention_fwd(q[None], k[None], v[None], np.array([2.0]),
+                                          np.zeros((1, 5)))[0]
+        shifted = destationary_attention_fwd(q[None], k[None], v[None], np.array([2.0]),
+                                             3.7 * np.ones((1, 5)))[0]
         assert np.allclose(base, shifted, atol=1e-12)
 
     def test_matches_direct_formula(self):
@@ -258,32 +262,50 @@ class TestDestationaryAttention:
         scores = (xi * q @ k.T + delta[None, :]) / math.sqrt(3)
         attn = np.exp(scores - scores.max(axis=1, keepdims=True))
         attn /= attn.sum(axis=1, keepdims=True)
-        assert np.allclose(destationary_attention(q, k, v, xi, delta),
-                           attn @ v, atol=1e-12)
+        out = destationary_attention_fwd(q[None], k[None], v[None], np.array([xi]),
+                                         delta[None])[0][0]
+        assert np.allclose(out, attn @ v, atol=1e-12)
 
     def test_nonpositive_xi(self):
         with pytest.raises(ParameterError):
-            destationary_attention(rand((3, 2)), rand((3, 2)), rand((3, 2)),
-                                   0.0, np.zeros(3))
+            destationary_attention_fwd(rand((1, 3, 2)), rand((1, 3, 2)), rand((1, 3, 2)),
+                                       np.array([0.0]), np.zeros((1, 3)))
+
+    def test_shape_mismatch(self):
+        # xi holds one value per sample and delta one row per sample, and the
+        # heads come as a stack
+        q = rand((2, 3, 2))
+        for xi, delta in ((1.0, np.zeros((1, 3))),          # xi not per sample
+                          (np.ones(1), np.zeros(3)),        # delta not per sample
+                          (np.ones(1), np.zeros((1, 4))),   # delta not of length T
+                          (np.ones(3), np.zeros((3, 3)))):  # 3 samples, 2 heads
+            with pytest.raises(ShapeError):
+                destationary_attention_fwd(q, q, q, xi, delta)
+        with pytest.raises(ShapeError):     # a matrix is not a head stack
+            destationary_attention_fwd(q[0], q[0], q[0], np.ones(1), np.zeros((1, 3)))
 
 
 class TestCorrelatedAttention:
     def test_beta_zero_instantaneous_only(self):
         q, k, v = rand((10, 4), 18), rand((10, 4), 19), rand((10, 4), 20)
-        out = correlated_attention(q, k, v, CAB_RAW, NO_FILTERING)
+        out = correlated_attention_fwd(q[None], k[None], v[None], CAB_RAW,
+                                       NO_FILTERING)[0][0]
         qh, kh = l2_normalize_cols(q), l2_normalize_cols(k)
         expect = v @ softmax_cols(kh.T @ qh, float(softplus(CAB_RAW["tau_raw"])))
         assert np.array_equal(out, expect)
 
     def test_dk1_beta0_returns_v(self):
         q, k, v = rand((7, 1), 21), rand((7, 1), 22), rand((7, 1), 23)
-        assert np.allclose(correlated_attention(q, k, v, CAB_RAW, NO_FILTERING), v,
-                           atol=1e-15)
+        out = correlated_attention_fwd(q[None], k[None], v[None], CAB_RAW,
+                                       NO_FILTERING)[0][0]
+        assert np.allclose(out, v, atol=1e-15)
 
     def test_fft_and_naive_paths_identical(self):
         q, k, v = rand((16, 4), 24), rand((16, 4), 25), rand((16, 4), 26)
-        out_f = correlated_attention(q, k, v, CAB_RAW, CabOptions(use_fft=True))
-        out_n = correlated_attention(q, k, v, CAB_RAW, CabOptions(use_fft=False))
+        out_f = correlated_attention_fwd(q[None], k[None], v[None], CAB_RAW,
+                                         CabOptions(use_fft=True))[0]
+        out_n = correlated_attention_fwd(q[None], k[None], v[None], CAB_RAW,
+                                         CabOptions(use_fft=False))[0]
         assert np.abs(out_f - out_n).max() < 1e-9
 
     def test_output_in_value_range_single_lag(self):
@@ -291,7 +313,7 @@ class TestCorrelatedAttention:
         # rolled-V columns, so the output stays inside V's entry range
         q, k = rand((2, 3), 27), rand((2, 3), 28)
         v = np.random.default_rng(29).uniform(-2.0, 5.0, size=(2, 3))
-        out = correlated_attention(q, k, v, with_beta(1.3))
+        out = correlated_attention_fwd(q[None], k[None], v[None], with_beta(1.3))[0]
         assert out.min() >= -2.0 - 1e-12 and out.max() <= 5.0 + 1e-12
 
     def test_output_range_scales_with_lag_count(self):
@@ -299,7 +321,7 @@ class TestCorrelatedAttention:
         # (1 - beta) + beta * k times V's range
         q, k = rand((12, 3), 27), rand((12, 3), 28)
         v = np.random.default_rng(29).uniform(-2.0, 5.0, size=(12, 3))
-        out, cache = correlated_attention_fwd(q, k, v, with_beta(1.3))
+        out, cache = correlated_attention_fwd(q[None], k[None], v[None], with_beta(1.3))
         kk, beta = cache.all_lags.shape[1] - 1, cache.beta[0]
         bound = (1.0 - beta) + beta * kk
         assert out.min() >= -2.0 * bound - 1e-12
@@ -313,11 +335,11 @@ class TestCorrelatedAttention:
     def test_beta_endpoint_interpolation(self):
         q, k, v = rand((9, 3), 30), rand((9, 3), 31), rand((9, 3), 32)
         big = 50.0  # sigmoid(+-50) is 1.0 / 0.0 in float64
-        inst = correlated_attention(q, k, v, with_beta(-big))
+        inst = correlated_attention_fwd(q[None], k[None], v[None], with_beta(-big))[0][0]
         qh, kh = l2_normalize_cols(q), l2_normalize_cols(k)
         assert np.allclose(inst, v @ softmax_cols(kh.T @ qh, 1.0), atol=1e-15)
-        lagged = correlated_attention(q, k, v, with_beta(big))
-        out_mid, cache = correlated_attention_fwd(q, k, v, with_beta(0.0))
+        lagged = correlated_attention_fwd(q[None], k[None], v[None], with_beta(big))[0][0]
+        out_mid, cache = correlated_attention_fwd(q[None], k[None], v[None], with_beta(0.0))
         assert np.allclose(lagged, sum(lag_terms(v, cache)), atol=1e-12)
 
     def test_temperature_sharpens_argmax(self):
@@ -330,18 +352,23 @@ class TestCorrelatedAttention:
 
     def test_selection_scale_invariance(self):
         q, k, v = rand((20, 4), 34), rand((20, 4), 35), rand((20, 4), 36)
-        out1, cache1 = correlated_attention_fwd(q, k, v, CAB_RAW)
-        out2, cache2 = correlated_attention_fwd(7.5 * q, 7.5 * k, v, CAB_RAW)
+        out1, cache1 = correlated_attention_fwd(q[None], k[None], v[None], CAB_RAW)
+        out2, cache2 = correlated_attention_fwd(7.5 * q[None], 7.5 * k[None], v[None],
+                                                CAB_RAW)
         assert cache1.selection.lags == cache2.selection.lags
         assert np.allclose(out1, out2, atol=1e-12)
 
     def test_degenerate_length(self):
         with pytest.raises(DegenerateSeriesError):
-            correlated_attention(rand((1, 2)), rand((1, 2)), rand((1, 2)), CAB_RAW)
+            correlated_attention_fwd(rand((1, 1, 2)), rand((1, 1, 2)), rand((1, 1, 2)),
+                                     CAB_RAW)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            correlated_attention(rand((8, 2)), rand((8, 2)), rand((8, 3)), CAB_RAW)
+            correlated_attention_fwd(rand((1, 8, 2)), rand((1, 8, 2)), rand((1, 8, 3)),
+                                     CAB_RAW)
+        with pytest.raises(ShapeError):     # a matrix is not a head stack
+            correlated_attention_fwd(rand((8, 2)), rand((8, 2)), rand((8, 2)), CAB_RAW)
 
 
 class TestLagStackMatchesLoop:
@@ -356,13 +383,13 @@ class TestLagStackMatchesLoop:
         rng = np.random.default_rng(t)
         q, k, v, g = (rng.normal(size=(t, 4)) for _ in range(4))
         raw = {"beta_raw": 0.4, "tau_raw": -0.3, "lambda_raw": 0.7}
-        out, cache = correlated_attention_fwd(q, k, v, raw, opts)
-        got = (out, *correlated_attention_bwd(cache, g))
+        out, cache = correlated_attention_fwd(q[None], k[None], v[None], raw, opts)
+        got = (out, *correlated_attention_bwd(cache, g[None]))
         want = loop_cab(q, k, v, raw, opts, g)
         for x, y in zip(got[:4], want[:4]):
-            assert np.abs(x - y).max() <= 1e-12
+            assert np.abs(x[0] - y).max() <= 1e-12
         for name in CAB_RAW:
-            assert abs(got[4][name] - want[4][name]) <= 1e-12, name
+            assert abs(got[4][name][0] - want[4][name]) <= 1e-12, name
 
 
 # three heads with raw scalars that differ from head to head
@@ -411,7 +438,7 @@ class TestHeadStack:
             out, cache = self_attention_fwd(q, k, v)
             dq, dk, dv = self_attention_bwd(cache, g)
         else:
-            out, cache = destationary_attention_fwd(q, k, v, xi, delta)
+            out, cache = destationary_attention_fwd(q, k, v, np.array([xi]), delta[None])
             dq, dk, dv, dxi, ddelta = destationary_attention_bwd(cache, g)
         want = [reference_dot_attention(q[i], k[i], v[i], xi, delta, g[i])
                 for i in range(3)]
@@ -419,8 +446,8 @@ class TestHeadStack:
             for got_i, want_i in zip((out[i], dq[i], dk[i], dv[i]), w[:4]):
                 assert_close(got_i, want_i)
         if kind == "destat":
-            assert abs(dxi - sum(w[4] for w in want)) <= 1e-12 * max(1.0, abs(dxi))
-            assert_close(ddelta, sum(w[5] for w in want))
+            assert abs(dxi[0] - sum(w[4] for w in want)) <= 1e-12 * max(1.0, abs(dxi[0]))
+            assert_close(ddelta[0], sum(w[5] for w in want))
 
     @pytest.mark.parametrize("t", [2, 96])
     @pytest.mark.parametrize("temporal", ["self", "destat"])
@@ -432,26 +459,28 @@ class TestHeadStack:
         mix = MixtureWeights(w_qkv, rng.normal(size=(5 * d_k, d_model)), 2, temporal,
                              STACK_RAW, xi=1.3, delta=rng.normal(size=t), cab=opts)
         x, g = rng.normal(size=(t, d_model)), rng.normal(size=(t, d_model))
-        out, cache = mixture_of_head_fwd(x, mix)
-        dx, dw_qkv, draw, dw_o, dxi, ddelta = mixture_of_head_bwd(cache, g)
+        # the sample as a chunk of one: one xi and one row of delta
+        chunk = replace(mix, xi=np.array([mix.xi]), delta=mix.delta[None])
+        out, cache = mixture_of_head_fwd(x[None], chunk)
+        dx, dw_qkv, draw, dw_o, dxi, ddelta = mixture_of_head_bwd(cache, g[None])
         want = loop_mixture(x, mix, g)
-        for got_i, want_i in zip((out, dx, dw_qkv, dw_o), (want[0], want[1], want[2],
-                                                          want[4])):
+        for got_i, want_i in zip((out[0], dx[0], dw_qkv, dw_o), (want[0], want[1],
+                                                                want[2], want[4])):
             assert_close(got_i, want_i)
         assert draw.keys() == want[3].keys()
         for name in draw:
             assert_close(draw[name], want[3][name])
-        assert abs(dxi - want[5]) <= 1e-12 * max(1.0, abs(want[5]))   # relative
         if temporal == "destat":
-            assert_close(ddelta, want[6])
+            assert abs(dxi[0] - want[5]) <= 1e-12 * max(1.0, abs(want[5]))   # relative
+            assert_close(ddelta[0], want[6])
         else:
-            assert ddelta is None
+            assert dxi is None and ddelta is None
 
     def test_collapsed_temperature_names_head(self):
         q = rand((3, 8, 2), 60)
         raw = {**STACK_RAW, "tau_raw": np.array([0.1, -1e9, -1e9])}
         with pytest.raises(ScalarRangeError) as exc:
-            correlated_attention(q, q, q, raw)
+            correlated_attention_fwd(q, q, q, raw)
         assert (exc.value.name, exc.value.head) == ("tau_raw", 1)
 
 
@@ -506,12 +535,12 @@ class TestCorrelatedAttentionGradients:
             zero_grads(ps)
             raw = {n: float(params[n].value) for n in CAB_RAW}
             out, cache = correlated_attention_fwd(
-                params["q"].value, params["k"].value, params["v"].value, raw, opts)
-            loss = float(((out @ w) ** 2).sum())
-            g = 2.0 * (out @ w) @ w.T
-            dq, dk, dv, draw = correlated_attention_bwd(cache, g)
+                *(params[n].value[None] for n in ("q", "k", "v")), raw, opts)
+            loss = float(((out[0] @ w) ** 2).sum())
+            g = 2.0 * (out[0] @ w) @ w.T
+            dq, dk, dv, draw = correlated_attention_bwd(cache, g[None])
             for n, d in {"q": dq, "k": dk, "v": dv, **draw}.items():
-                params[n].grad += d
+                params[n].grad += d[0]
             return loss
 
         report = check_gradient(f, checked, step=1e-5, tolerance=1e-4)
@@ -537,18 +566,18 @@ class TestMixtureOfHead:
         x = rand((10, 6), 41)
         w_qkv = self._w_qkv(3, 6, 2)
         w_o = rand((6, 6), 42)
-        out = mixture_of_head(x, MixtureWeights(w_qkv, w_o, 3))
+        out = mixture_of_head_fwd(x[None], MixtureWeights(w_qkv, w_o, 3))[0][0]
         ref = np.concatenate(
-            [self_attention(*(x @ w_qkv[:, j, i] for j in range(3))) for i in range(3)],
-            axis=1) @ w_o
+            [self_attention_fwd(*((x @ w_qkv[:, j, i])[None] for j in range(3)))[0][0]
+             for i in range(3)], axis=1) @ w_o
         assert np.array_equal(out, ref)
 
     def test_even_temporal_correlated_split(self):
         x = rand((8, 4), 43)
         w_qkv = np.concatenate([self._w_qkv(8, 4, 2, 44), self._w_qkv(8, 4, 2, 45)],
                                axis=2)
-        out = mixture_of_head(x, MixtureWeights(w_qkv, rand((32, 4), 46), 8))
-        assert out.shape == (8, 4)
+        out = mixture_of_head_fwd(x[None], MixtureWeights(w_qkv, rand((32, 4), 46), 8))[0]
+        assert out.shape == (1, 8, 4)
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_output_shape_any_split(self, m):
@@ -556,7 +585,7 @@ class TestMixtureOfHead:
         w_qkv = np.concatenate([self._w_qkv(m, 5, 3, 48), self._w_qkv(2 - m, 5, 3, 49)],
                                axis=2)
         mix = MixtureWeights(w_qkv, rand((6, 5), 50), m)
-        assert mixture_of_head(x, mix).shape == (6, 5)
+        assert mixture_of_head_fwd(x[None], mix)[0].shape == (1, 6, 5)
 
     def test_bad_w_o_shape(self):
         # the weights are checked against each other: w_o against h d_k, and
@@ -573,5 +602,8 @@ class TestMixtureOfHead:
             mix = MixtureWeights(**{"w_qkv": w_qkv, "w_o": rand((4, 4), 56), "m": 2,
                                     **bad})
             with pytest.raises(ShapeError):
-                mixture_of_head(x, mix)
-        mixture_of_head(x, MixtureWeights(w_qkv, rand((4, 4), 56), 0, raw=raw))
+                mixture_of_head_fwd(x[None], mix)
+        mix = MixtureWeights(w_qkv, rand((4, 4), 56), 0, raw=raw)
+        mixture_of_head_fwd(x[None], mix)
+        with pytest.raises(ShapeError):     # a sample is not a chunk
+            mixture_of_head_fwd(x, mix)

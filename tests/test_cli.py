@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,6 +219,28 @@ def _wider_val(prefix):
                        planted_lags=s.planted_lags) for s in samples], task=task)
 
 
+def _replace_sample(path, i, **fields):
+    samples, task = read_dataset(path)
+    samples[i] = replace(samples[i], **fields)
+    S.write_dataset(path, samples, task=task)
+
+
+def _no_mask(prefix):
+    # an imputation sample whose header says mask 0
+    _replace_sample(f"{prefix}.train", 2, mask=None)
+
+
+def _no_label(prefix):
+    run_cli(gen_args(prefix, t=24, d=3, samples=10, task="classification"))
+    _replace_sample(f"{prefix}.val", 1, label=None)
+
+
+def _some_flags(prefix):
+    # one anomaly train sample with flags among samples without
+    run_cli(gen_args(prefix, t=24, d=3, samples=10, task="anomaly"))
+    _replace_sample(f"{prefix}.train", 1, anomaly_flags=np.zeros(24, dtype=np.int64))
+
+
 def _nan_value(prefix):
     path = f"{prefix}.test"
     lines = open(path).read().splitlines()
@@ -258,12 +281,16 @@ class TestTooLittleData:
         (_length_one, r"toy\.train: .*T >= 2"),
         (_nan_value, r"toy\.test:5: non-finite"),
         (_wider_val, r"toy\.val: the val split has d = 4 features, the train split 3"),
-    ], ids=["empty-val", "t1", "nan", "d-mismatch"])
+        (_no_mask, r"toy\.train: sample 2 has no mask"),
+        (_no_label, r"toy\.val: sample 1 has no label"),
+        (_some_flags, r"toy\.train: samples 0 and 1 disagree on anomaly flags"),
+    ], ids=["empty-val", "t1", "nan", "d-mismatch", "no-mask", "no-label", "some-flags"])
     def test_train_rejects(self, toy_dataset, capsys, damage, match):
         damage(toy_dataset)
         assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST]) \
             == cli.EXIT_FILE
-        assert re.search(match, capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert re.search(match, err) and "Traceback" not in err
 
 
 class TestAblationPresets:

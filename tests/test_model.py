@@ -132,12 +132,14 @@ def loop_attention_fwd(x, params, cfg, b, xi, delta, cab):
         q, k, v = (x @ w[:, j, i] for j in range(3))
         if i >= m:
             out, cache = A.correlated_attention_fwd(
-                q, k, v, {name: float(r[i - m]) for name, r in raw.items()}, cab)
+                q[None], k[None], v[None], {name: float(r[i - m]) for name, r in raw.items()},
+                cab)
         elif cfg.temporal == "destat":
-            out, cache = A.destationary_attention_fwd(q, k, v, xi, delta)
+            out, cache = A.destationary_attention_fwd(q[None], k[None], v[None],
+                                                      np.array([xi]), delta[None])
         else:
-            out, cache = A.self_attention_fwd(q, k, v)
-        outs.append(out)
+            out, cache = A.self_attention_fwd(q[None], k[None], v[None])
+        outs.append(out[0])
         caches.append(cache)
     concat = np.concatenate(outs, axis=1)
     return concat @ params[f"block{b}.w_o"].value, (x, concat, caches)
@@ -152,18 +154,18 @@ def loop_attention_bwd(g, cache, params, grads, cfg, b):
     dconcat = g @ params[f"block{b}.w_o"].value.T
     dx, dxi, ddelta = np.zeros_like(x), 0.0, np.zeros(x.shape[0])
     for i, c in enumerate(caches):
-        gh = dconcat[:, i * d_k:(i + 1) * d_k]
+        gh = dconcat[None, :, i * d_k:(i + 1) * d_k]
         if i >= m:
             dq, dk, dv, draw = A.correlated_attention_bwd(c, gh)
             for name, d in draw.items():
                 if f"block{b}.{name}" in grads:
-                    grads[f"block{b}.{name}"][i - m] += d
+                    grads[f"block{b}.{name}"][i - m] += d[0]
         elif cfg.temporal == "destat":
             dq, dk, dv, dxi_i, ddelta_i = A.destationary_attention_bwd(c, gh)
-            dxi, ddelta = dxi + dxi_i, ddelta + ddelta_i
+            dxi, ddelta = dxi + dxi_i[0], ddelta + ddelta_i[0]
         else:
             dq, dk, dv = A.self_attention_bwd(c, gh)
-        for j, d in enumerate((dq, dk, dv)):
+        for j, d in enumerate((dq[0], dk[0], dv[0])):
             grads[f"block{b}.w_qkv"][:, j, i] += x.T @ d
             dx += d @ w[:, j, i].T
     return dx, dxi, ddelta
@@ -332,6 +334,9 @@ class TestChunks:
         monkeypatch.setattr(M, "chunk_size", lambda cfg, t: 3)
         sizes = [len(chunk[0]) for chunk in M._chunks(batch, cfg)]
         assert sizes == [2, 3, 3]
+        # a chunk of one is stacked like any other
+        monkeypatch.setattr(M, "chunk_size", lambda cfg, t: 1)
+        assert [chunk[0].shape for chunk in M._chunks(batch, cfg)] == [(1, 12, 3)] * 8
         monkeypatch.undo()
         # several chunks make the same mean loss and gradient as one
         params = M.init_params(cfg, seed=12)
