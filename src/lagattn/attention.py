@@ -225,17 +225,19 @@ def destationary_attention_bwd(cache, g):
 # What correlated_attention_bwd needs from the forward pass, per head of the
 # stack. all_lags is H x (k+1), each row [0, l_1..l_k]: lag 0 is the
 # instantaneous term, weighted by coefs [1 - beta, beta * w_1..w_k]. a and s
-# are the H x (k+1) x d x d scores roll(K_hat, l)^T Q_hat and their column
-# softmaxes at tau. The gathers of K_hat and V over all_lags, H x T x (k+1) d,
-# are not kept: backward gathers them again from k_hat and v.
+# are the H x (k+1) x d x d scores roll(K_hat, l)^T Q_hat, read from lag
+# selection's all-lags stack, and their column softmaxes at tau. Neither the
+# H x T x d x d stack nor the gathers of K_hat and V over all_lags, H x T x
+# (k+1) d, are kept: backward gathers again from k_hat and v.
 CabCache = namedtuple("CabCache", "q k v q_hat k_hat raw lam beta tau all_lags coefs "
                                   "weights omega a s scores selection")
 
 
 def correlated_attention_fwd(q, k, v, raw: dict, opts: CabOptions = CabOptions()):
     """``raw`` holds the scalars keyed like ``CAB_RAW``, one value per head
-    (or one for all). Each head's k + 1 terms share one gather of K_hat and
-    V over its lags, and sum in one product."""
+    (or one for all). Each head's k + 1 score matrices come from lag
+    selection's stack; its k + 1 terms share one gather of V over its lags,
+    and sum in one product."""
     q, k, v = _heads(q, k, v)
     if not (q.shape == k.shape == v.shape):
         raise ShapeError(f"CAB needs equal shapes, got q {q.shape}, k {k.shape}, v {v.shape}")
@@ -255,12 +257,17 @@ def correlated_attention_fwd(q, k, v, raw: dict, opts: CabOptions = CabOptions()
     q_hat = l2_normalize_cols(q)
     k_hat = l2_normalize_cols(k)
 
-    selection, scores, lags = None, None, np.zeros((n, 0), dtype=int)
+    selection, scores = None, None
     if opts.filtering:
-        selection, scores = xcorr.select_lags(q_hat, k_hat, lam, opts.c,
-                                              use_fft=opts.use_fft)
-        lags = selection.table
-    all_lags = np.concatenate([np.zeros((n, 1), dtype=int), lags], axis=1)
+        selection, scores, stack = xcorr.select_lags(q_hat, k_hat, lam, opts.c,
+                                                     use_fft=opts.use_fft)
+        all_lags = np.concatenate([np.zeros((n, 1), dtype=int), selection.table],
+                                  axis=1)
+        a = np.take_along_axis(stack, all_lags[:, :, None, None], axis=1)
+    else:
+        all_lags = np.zeros((n, 1), dtype=int)
+        a = (k_hat.transpose(0, 2, 1) @ q_hat)[:, None]
+    lags = all_lags[:, 1:]
 
     omega, weights = None, np.ones(lags.shape)
     if opts.soft and lags.size:
@@ -269,7 +276,6 @@ def correlated_attention_fwd(q, k, v, raw: dict, opts: CabOptions = CabOptions()
         weights = lags.shape[1] * omega
 
     coefs = np.concatenate([1.0 - beta[:, None], beta[:, None] * weights], axis=1)
-    a = (roll(k_hat, all_lags).transpose(0, 2, 1) @ q_hat).reshape(n, -1, d, d)
     s = softmax_cols(a, tau)
     out = roll(v, all_lags) @ (coefs[..., None, None] * s).reshape(n, -1, d)
     return out, CabCache(q, k, v, q_hat, k_hat, raw, lam, beta, tau, all_lags, coefs,

@@ -323,20 +323,13 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     data = load_data(args.data)
-    results = []
     for preset in ABLATION_PRESETS:
         args.ablation = preset
         cfg = build_run_config(args, data)
         params = setup(cfg, data)
         M.train_model(data.train, data.val, params, cfg)
-        rec = {"event": "ablate", "preset": preset,
-               "config_hash": cfg.config_hash(), **score_test_split(cfg, params, data)}
-        emit(rec)
-        results.append(rec)
-    keys = [k for k in results[0] if k not in ("event", "preset")]
-    print("preset," + ",".join(keys))
-    for rec in results:
-        print(rec["preset"] + "," + ",".join(str(rec[k]) for k in keys))
+        emit({"event": "ablate", "preset": preset,
+              "config_hash": cfg.config_hash(), **score_test_split(cfg, params, data)})
     return 0
 
 

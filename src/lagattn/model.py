@@ -463,18 +463,20 @@ def task_loss(pred, target, task: str, mask=None):
 
 
 # A batch runs in the fewest chunks of at most CHUNK_DOUBLES / s samples, of
-# near-equal size. s = m T^2 + 2 (h - m) T (k + 1) d_k bounds the doubles of
-# one sample's largest attention temporaries, none of which the caches keep:
-# the gathers of K_hat and V over the k + 1 lags of each correlated head,
-# alive inside CAB's forward and again inside its backward, and the T x T
-# scores of the m temporal heads, which exist one row block at a time
-# (attention.BLOCK_DOUBLES), so that term overstates them. The bound is
-# unchanged, and so are the chunks: at most 7 samples at T = 96, h = 2, m = 1
-# (a batch of 8 runs as two chunks of 4), and one from h = 16 or T = 512 on.
-# Bigger chunks cost more than they save once a chunk's temporaries outgrow
-# what the allocator keeps between batches: it hands them back to the system
-# after every batch and page-faults them in again (a whole toy batch of 8,
-# peaking at 5.5 MB, did).
+# near-equal size. s = m T^2 + 2 (h - m) T (k + 1) d_k sizes one sample's
+# largest attention temporaries, none of which the caches keep: per
+# correlated head, the T d_k^2 all-lags stack and the gather of V over the
+# k + 1 lags inside CAB's forward, and the gathers of K_hat and V inside its
+# backward; and the T x T scores of the m temporal heads, which exist one
+# row block at a time (attention.BLOCK_DOUBLES), so that term overstates
+# them. The stack holds d_k / (k + 1) times the doubles of the K_hat gather
+# it replaced in the forward: as many at T = 512, d_k = 8, and 4/3 as many
+# at T = 96. The bound is unchanged, and so are the chunks: at most 7
+# samples at T = 96, h = 2, m = 1 (a batch of 8 runs as two chunks of 4),
+# and one from h = 16 or T = 512 on. Bigger chunks cost more than they save
+# once a chunk's temporaries outgrow what the allocator keeps between
+# batches: it hands them back to the system after every batch and
+# page-faults them in again (a whole toy batch of 8, peaking at 5.5 MB, did).
 CHUNK_DOUBLES = 2 ** 17
 
 

@@ -1,13 +1,14 @@
 """Lagged cross-covariance over all circular lags, scoring, and TopK selection.
 
-Two routes measure the per-lag matrices M_l = roll(K, l)^T Q: a naive
-O(d^2 T^2) loop that builds the T x d x d stack (the oracle, reduced by
-``lag_mass``) and an FFT route in O(d^2 T log T) that streams the same
-per-lag mass without the stack. Scores mix the absolute diagonal
-(auto-correlation) and off-diagonal (cross-feature) mass of each M_l with a
-convex weight, and TopK picks the best lags in [1, T-1] deterministically.
-Q and K may be stacks of H heads (H x T x d): every score then gains a
-leading head axis, and each head picks its own lags.
+Two routes build the T x d x d stack of per-lag matrices M_l =
+roll(K, l)^T Q: a naive O(d^2 T^2) sliding-window product (the oracle) and
+an FFT route in O(d^2 T log T). ``lag_mass`` reduces either stack to the
+absolute diagonal (auto-correlation) and off-diagonal (cross-feature) mass
+of each M_l, scores mix the two with a convex weight, and TopK picks the
+best lags in [1, T-1] deterministically. ``select_lags`` returns the stack
+beside the lags, so correlated attention reads its score matrices from it.
+Q and K may be stacks of H heads (H x T x d): every stack and score then
+gains a leading head axis, and each head picks its own lags.
 """
 
 from __future__ import annotations
@@ -76,30 +77,23 @@ def lag_mass(stack: np.ndarray) -> tuple:
     return diag, np.abs(stack).sum(axis=(-2, -1)) - diag
 
 
-def xcorr_all_lags_fft(q: np.ndarray, k: np.ndarray) -> tuple:
-    """FFT route over all lags: ``(diag, nondiag)`` as ``lag_mass`` gives it
-    for the naive stack.
+def xcorr_all_lags_fft(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """FFT route over all lags: the (H x) T x d x d stack of
+    ``xcorr_all_lags_naive``.
 
-    Streams one key column at a time (for every head at once), accumulating
-    |M_l(i, j)| into the diagonal / off-diagonal totals without materializing
-    the T x d x d stack. Column i of M_l is the inverse transform of
-    FFT(q_j) * conj(FFT(k_i)); the equivalence with the naive route is
-    pinned by tests.
+    M_l(i, j) is the circular cross-correlation of key column i and query
+    column j at lag l, so its transform over l is conj(FFT(k_i)) FFT(q_j):
+    one batched inverse transform of the (H x) F x d x d products along the
+    frequency axis gives every lag's matrix. The equivalence with the naive
+    route is pinned by tests.
     """
     q, k = _check_pair(q, k)
-    t, d = q.shape[-2:]
+    t = q.shape[-2]
     if t < 2:
         raise DegenerateSeriesError(f"need at least 2 time steps, got {t}")
     fq = np.fft.rfft(q, axis=-2)           # (H x) F x d
     fk = np.conj(np.fft.rfft(k, axis=-2))
-    diag = np.zeros(q.shape[:-2] + (t,))
-    nondiag = np.zeros(q.shape[:-2] + (t,))
-    for i in range(d):
-        rows = np.fft.irfft(fq * fk[..., i:i + 1], n=t, axis=-2)   # (H x) T x d
-        absrows = np.abs(rows, out=rows)
-        diag += absrows[..., i]
-        nondiag += absrows.sum(axis=-1) - absrows[..., i]
-    return diag, nondiag
+    return np.fft.irfft(fk[..., :, None] * fq[..., None, :], n=t, axis=-3)
 
 
 def score_lags(diag, nondiag, lam) -> LagScoreVector:
@@ -134,10 +128,8 @@ def topk_lags(scores: LagScoreVector, c: int, t: int) -> LagSelection:
 def select_lags(q_hat: np.ndarray, k_hat: np.ndarray, lam, c: int,
                 use_fft: bool = True) -> tuple:
     """One-stop lag selection for one head or a head stack (``lam`` one
-    weight or one per head). Returns (LagSelection, LagScoreVector)."""
-    if use_fft:
-        diag, nondiag = xcorr_all_lags_fft(q_hat, k_hat)
-    else:
-        diag, nondiag = lag_mass(xcorr_all_lags_naive(q_hat, k_hat))
-    scores = score_lags(diag, nondiag, lam)
-    return topk_lags(scores, c, q_hat.shape[-2]), scores
+    weight or one per head). Returns (LagSelection, LagScoreVector, stack),
+    the stack holding every lag's matrix roll(k_hat, l)^T q_hat."""
+    stack = (xcorr_all_lags_fft if use_fft else xcorr_all_lags_naive)(q_hat, k_hat)
+    scores = score_lags(*lag_mass(stack), lam)
+    return topk_lags(scores, c, q_hat.shape[-2]), scores, stack

@@ -76,7 +76,7 @@ def loop_cab(q, k, v, raw, opts, g):
     lags, scores = [], None
     if opts.filtering:
         selection, scores = xcorr.select_lags(q_hat, k_hat, lam, opts.c,
-                                              use_fft=opts.use_fft)
+                                              use_fft=opts.use_fft)[:2]
         lags = list(selection.lags)
     weights, omega = np.ones(len(lags)), None
     if opts.soft and lags:
@@ -171,6 +171,21 @@ def dense_attention(q, k, v, xi, delta, g):
     dxi = scale * (dscores * qk).reshape(b, -1).sum(axis=1)
     ddelta = dscores.sum(axis=1).reshape(b, -1, t).sum(axis=1)
     return out, per_head * dq, per_head * dk, dv, dxi, ddelta
+
+
+def gather_cab_fwd(q, k, v, raw, opts):
+    """CAB's forward on an H x T x d stack with its score matrices gathered
+    from K_hat, a = roll(K_hat, all_lags)^T Q_hat: the path that reading
+    them from lag selection's stack replaced. Lags, scalars and coefficients,
+    which do not depend on a, come from the forward under test. Returns
+    (out, cache) for correlated_attention_bwd."""
+    _, cache = correlated_attention_fwd(q, k, v, raw, opts)
+    n, d = q.shape[0], q.shape[-1]
+    a = (roll(cache.k_hat, cache.all_lags).transpose(0, 2, 1)
+         @ cache.q_hat).reshape(n, -1, d, d)
+    s = softmax_cols(a, cache.tau)
+    out = roll(v, cache.all_lags) @ (cache.coefs[..., None, None] * s).reshape(n, -1, d)
+    return out, cache._replace(a=a, s=s)
 
 
 def loop_mixture(x, mix, g):
@@ -519,6 +534,31 @@ class TestBlockedMatchesDense:
             else:
                 scale = max(1.0, float(np.abs(y).max()))
                 assert np.abs(x - y).max() <= 1e-12 * scale, name
+
+
+class TestStackMatchesGather:
+    """CAB with its scores read from the all-lags stack against the forward
+    that gathered K_hat over the selected lags again: outputs and every
+    gradient within 1e-12, relative to the larger of 1 and the reference."""
+
+    @pytest.mark.parametrize("t", [2, 3, 17, 96, 512])
+    @pytest.mark.parametrize("heads", [1, 3, 16])
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    @pytest.mark.parametrize("filtering", [True, False], ids=["filtering", "no-filtering"])
+    @pytest.mark.parametrize("use_fft", [True, False], ids=["fft", "naive"])
+    def test_matches_gather(self, t, heads, soft, filtering, use_fft):
+        rng = np.random.default_rng(t + heads)
+        q, k, v, g = (rng.normal(size=(heads, t, 4)) for _ in range(4))
+        raw = {name: rng.normal(size=heads) for name in CAB_RAW}
+        opts = CabOptions(c=2, use_fft=use_fft, filtering=filtering, soft=soft)
+        results = []
+        for fwd in (correlated_attention_fwd, gather_cab_fwd):
+            out, cache = fwd(q, k, v, raw, opts)
+            dq, dk, dv, draw = correlated_attention_bwd(cache, g)
+            results.append({"out": out, "dq": dq, "dk": dk, "dv": dv, **draw})
+        got, want = results
+        for name, y in want.items():
+            assert np.abs(got[name] - y).max() <= 1e-12 * max(1.0, float(np.abs(y).max())), name
 
 
 class TestCorrelatedAttentionGradients:

@@ -357,6 +357,17 @@ class TestAblationPresets:
         presets = {r["preset"] for r in records if r.get("event") == "ablate"}
         assert presets == set(cli.ABLATION_PRESETS)
 
+    def test_ablate_stdout_is_strict_jsonl(self, toy_dataset, capsys):
+        # every stdout line is one JSON object, with no NaN or Infinity
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        assert run_cli(["ablate", "--data", str(toy_dataset), *TRAIN_FAST]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(cli.ABLATION_PRESETS)
+        for line in lines:
+            assert isinstance(json.loads(line, parse_constant=reject), dict), line
+
 
 class TestConfigFile:
     def test_roundtrip(self, tmp_path):

@@ -519,8 +519,9 @@ def _arrays(obj):
 
 class TestMemory:
     """At the benchmark's long shape (T = 512, destat, classification) the
-    forward caches hold no T x T array and no gather of the k + 1 lags, and
-    one single-sample step stays under a fixed allocation peak."""
+    forward caches hold no T x T array, no gather of the k + 1 lags and no
+    all-lags stack, and one single-sample step stays under a fixed
+    allocation peak."""
 
     T = 512
 
@@ -534,11 +535,14 @@ class TestMemory:
         cfg, params, sample = self._setup()
         _, cache = M.model_forward(sample[0], params, cfg)
         gather = (self.T, (topk_count(cfg.c, self.T) + 1) * cfg.d_k)
+        # one head's stack, T d_k^2 doubles, passes the size check
+        stack = (self.T, cfg.d_k, cfg.d_k)
         arrays = list(_arrays(cache))
         assert len(arrays) > 20
         for a in arrays:
             assert a.size < self.T * self.T, a.shape
             assert not (a.ndim == 3 and a.shape[1:] == gather), a.shape
+            assert not (a.ndim == 4 and a.shape[1:] == stack), a.shape
 
     def test_step_allocation_peak(self):
         cfg, params, sample = self._setup()
