@@ -74,10 +74,11 @@ def _heads(q, k, v):
     return q, k, v
 
 
-def _t(a):
-    """Row-major transpose of each matrix: numpy's stacked matmul runs at a
-    fraction of BLAS speed on a transposed right operand."""
-    return np.ascontiguousarray(a.transpose(0, 2, 1))
+def _block_t(w):
+    """An H x n x d x d stack of blocks as the H x (n d) x d stack [W_0^T; ..;
+    W_n-1^T], copied row-major: numpy's stacked matmul runs at a fraction of
+    BLAS speed on a transposed right operand."""
+    return w.transpose(0, 1, 3, 2).reshape(w.shape[0], -1, w.shape[-2])
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +228,8 @@ def destationary_attention_bwd(cache, g):
 # instantaneous term, weighted by coefs [1 - beta, beta * w_1..w_k]. a and s
 # are the H x (k+1) x d x d scores roll(K_hat, l)^T Q_hat, read from lag
 # selection's all-lags stack, and their column softmaxes at tau. Neither the
-# H x T x d x d stack nor the gathers of K_hat and V over all_lags, H x T x
-# (k+1) d, are kept: backward gathers again from k_hat and v.
+# H x T x d x d stack nor any gather over all_lags, H x T x (k+1) d, is kept:
+# backward gathers V, K_hat, g and Q_hat, each dead once its product is done.
 CabCache = namedtuple("CabCache", "q k v q_hat k_hat raw lam beta tau all_lags coefs "
                                   "weights omega a s scores selection")
 
@@ -292,10 +293,10 @@ def correlated_attention_bwd(cache, g):
     vtg = (roll(c.v, c.all_lags).transpose(0, 2, 1) @ g).reshape(c.s.shape)
     g_terms = (vtg * c.s).sum(axis=(2, 3))
     da, dtau = softmax_cols_adjoint(coefs * vtg, c.s, c.a, c.tau)
-    da = da.reshape(n, -1, d)
-    dv = roll_adjoint(g @ _t((coefs * c.s).reshape(n, -1, d)), c.all_lags)
-    dq_hat = roll(c.k_hat, c.all_lags) @ da
-    dk_hat = roll_adjoint(c.q_hat @ _t(da), c.all_lags)
+    # each lag sum is one gather and one product, as in the forward
+    dv = roll_adjoint(g, c.all_lags) @ _block_t(coefs * c.s)
+    dq_hat = roll(c.k_hat, c.all_lags) @ da.reshape(n, -1, d)
+    dk_hat = roll_adjoint(c.q_hat, c.all_lags) @ _block_t(da)
 
     # out = (1 - beta) term_0 + beta * sum_l w_l term_l
     dbeta = (g_terms[:, 1:] * c.weights).sum(axis=1) - g_terms[:, 0]

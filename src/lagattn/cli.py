@@ -203,6 +203,10 @@ def load_data(prefix: str, scored_only: bool = False) -> Data:
 
 
 def emit(record: dict, fh=None) -> None:
+    """One line of strict JSON; a non-finite value raises NumericalFailure."""
+    for key, val in record.items():
+        if isinstance(val, float) and not math.isfinite(val):
+            raise M.NumericalFailure(f"non-finite {key} = {val}")
     line = json.dumps(record, sort_keys=True)
     print(line)
     if fh is not None:
@@ -292,6 +296,9 @@ def cmd_train(args) -> int:
         t0 = time.perf_counter()
         records = M.train_model(data.train, data.val, params, cfg)
         elapsed = time.perf_counter() - t0
+        if args.checkpoint:     # saved even if a record below is non-finite
+            M.save_checkpoint(args.checkpoint, params)
+            write_config(args.checkpoint + ".config", cfg)
         n_iters = len(records) * math.ceil(len(data.train) / cfg.batch_size) or 1
         for rec in records:
             emit({"run_id": run_id, **rec}, metrics_fh)
@@ -305,9 +312,6 @@ def cmd_train(args) -> int:
     finally:
         if metrics_fh:
             metrics_fh.close()
-    if args.checkpoint:
-        M.save_checkpoint(args.checkpoint, params)
-        write_config(args.checkpoint + ".config", cfg)
     return 0
 
 

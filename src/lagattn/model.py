@@ -48,7 +48,7 @@ class DegenerateTaskError(ValueError):
 
 
 class NumericalFailure(RuntimeError):
-    """A training step produced a non-finite loss or gradient."""
+    """A non-finite loss, gradient or reported metric."""
 
 
 def sigmoid_inv(p: float) -> float:
@@ -466,16 +466,16 @@ def task_loss(pred, target, task: str, mask=None):
 # near-equal size. s = m T^2 + 2 (h - m) T (k + 1) d_k sizes one sample's
 # largest attention temporaries, none of which the caches keep: per
 # correlated head, the T d_k^2 all-lags stack and the gather of V over the
-# k + 1 lags inside CAB's forward, and the gathers of K_hat and V inside its
-# backward; and the T x T scores of the m temporal heads, which exist one
-# row block at a time (attention.BLOCK_DOUBLES), so that term overstates
-# them. The stack holds d_k / (k + 1) times the doubles of the K_hat gather
-# it replaced in the forward: as many at T = 512, d_k = 8, and 4/3 as many
-# at T = 96. The bound is unchanged, and so are the chunks: at most 7
-# samples at T = 96, h = 2, m = 1 (a batch of 8 runs as two chunks of 4),
-# and one from h = 16 or T = 512 on. Bigger chunks cost more than they save
-# once a chunk's temporaries outgrow what the allocator keeps between
-# batches: it hands them back to the system after every batch and
+# k + 1 lags inside CAB's forward, and the gathers of V, K_hat, g and Q_hat,
+# one at a time, in its backward; and the T x T scores of the m temporal
+# heads, which exist one row block at a time (attention.BLOCK_DOUBLES), so
+# that term overstates them. The stack holds d_k / (k + 1) times the doubles
+# of the K_hat gather it replaced in the forward: as many at T = 512, d_k =
+# 8, and 4/3 as many at T = 96. The bound is unchanged, and so are the
+# chunks: at most 7 samples at T = 96, h = 2, m = 1 (a batch of 8 runs as two
+# chunks of 4), and one from h = 16 or T = 512 on. Bigger chunks cost more
+# than they save once a chunk's temporaries outgrow what the allocator keeps
+# between batches: it hands them back to the system after every batch and
 # page-faults them in again (a whole toy batch of 8, peaking at 5.5 MB, did).
 CHUNK_DOUBLES = 2 ** 17
 

@@ -3,9 +3,10 @@
 Everything here operates on float64 numpy arrays in time-major layout (T
 rows, d columns), either one matrix or a stack of them along leading axes:
 the column softmax and l2-normalize reduce over axis -2, so they act on each
-matrix of a stack, and ``roll`` gathers per-matrix lags. Each forward op has
-a matching ``*_adjoint`` that maps an output cotangent back to input
-cotangents; the op set is small and fixed, so no autodiff tape is needed.
+matrix of a stack, and ``roll`` gathers per-matrix lags. The softmax and the
+normalize map an output cotangent back through their ``*_adjoint``; a lag sum
+roll(x, lags) @ [W_l] maps it back as roll_adjoint(g, lags) @ [W_l^T]. The op
+set is small and fixed, so no autodiff tape is needed.
 """
 
 from __future__ import annotations
@@ -103,18 +104,17 @@ def l2_normalize_cols_adjoint(g: np.ndarray, a: np.ndarray, epsilon: float = EPS
     return da
 
 
-def _lag_rows(lag, lead: tuple, t: int, shift) -> np.ndarray:
+def _lag_rows(lag, lead: tuple, t: int) -> np.ndarray:
     """Rows of the flat (H T) x d view of a stack of H = prod(lead) matrices:
-    entry [h, s, l] is row h T + shift(s, lag_l) mod T, where ``shift`` is
-    np.subtract or np.add and ``lag`` an int, n lags for every matrix, or one
-    row of n lags per matrix."""
+    entry [h, s, l] is row h T + (s - lag_l) mod T, where ``lag`` is an int,
+    n lags for every matrix, or one row of n lags per matrix."""
     lags = np.asarray(lag)
     if lags.ndim > 1 and lags.shape[:-1] != lead:
         raise ShapeError(f"lag table {lags.shape} does not fit a stack of {lead}")
     if lags.min() < 0 or lags.max() >= t:
         raise ParameterError(f"lag {lag} out of range [0, {t - 1}]")
     h = math.prod(lead)
-    rows = shift(np.arange(t)[:, None], lags.reshape(h if lags.ndim > 1 else 1, 1, -1)) % t
+    rows = (np.arange(t)[:, None] - lags.reshape(h if lags.ndim > 1 else 1, 1, -1)) % t
     if h > 1:       # matrix h starts at row h T
         rows = rows + t * np.arange(h)[:, None, None]
     return rows
@@ -129,22 +129,16 @@ def roll(a: np.ndarray, lag) -> np.ndarray:
     matrix product with the result sums over the lags. One gather for all.
     """
     a = as_matrix(a)
-    rows = _lag_rows(lag, a.shape[:-2], a.shape[-2], np.subtract)
+    rows = _lag_rows(lag, a.shape[:-2], a.shape[-2])
     return np.take(a.reshape(-1, a.shape[-1]), rows, axis=0).reshape(
         a.shape[:-1] + (-1,))
 
 
-def roll_adjoint(g: np.ndarray, lag) -> np.ndarray:
-    """Adjoint of ``roll``: column block l of ``g`` is shifted back by lag l,
-    and the blocks are summed."""
-    lead, t = g.shape[:-2], g.shape[-2]
-    rows = _lag_rows(lag, lead, t, np.add)
-    n = rows.shape[-1]
-    # block l of row r of the stack is row r n + l of the flat n-block view;
-    # gathered lag-major, so the sum over lags adds whole matrices
-    blocks = rows.transpose(0, 2, 1) * n + np.arange(n)[:, None]
-    return np.take(g.reshape(-1, g.shape[-1] // n), blocks, axis=0).sum(
-        axis=1).reshape(lead + (t, -1))
+def roll_adjoint(a: np.ndarray, lag) -> np.ndarray:
+    """Each lag's transposed shift, side by side: ``roll`` at the negated lags.
+    g -> roll_adjoint(g, lags) @ [W_l^T] is the adjoint of x -> roll(x, lags)
+    @ [W_l], so the product after this gather sums over the lags."""
+    return roll(a, (-np.asarray(lag)) % np.shape(a)[-2])
 
 
 def sigmoid(x):

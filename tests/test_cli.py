@@ -451,6 +451,33 @@ class TestRunConfig:
         assert records[-1]["event"] == "summary"
         assert records[-1]["final_val_loss"] > 1e30
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_nonfinite_metric_exits_numerical(self, tmp_path, capsys):
+        # a finite test split whose squares overflow in stationarize: train
+        # and eval abort naming the metric instead of printing Infinity
+        data = tmp_path / "sm"
+        assert run_cli(["gen-data", "--task", "imputation", "--t", "24", "--d", "3",
+                        "--samples", "20", "--out", str(data)]) == 0
+        samples, task = read_dataset(f"{data}.test")
+        S.write_dataset(f"{data}.test", [replace(s, values=s.values * 1e200)
+                                         for s in samples], task=task)
+        read_dataset(f"{data}.test")             # finite, so the reader accepts it
+        capsys.readouterr()
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON constant {token}")
+
+        for args in (["train", "--data", str(data), "--h", "2", "--m", "1",
+                      "--d-model", "8", "--d-k", "4", "--epochs", "1",
+                      "--checkpoint", str(tmp_path / "ck")],
+                     ["eval", "--data", str(data), "--checkpoint", str(tmp_path / "ck")]):
+            assert run_cli(args) == cli.EXIT_NUMERICAL, args[0]
+            out, err = capsys.readouterr()
+            abort = json.loads(err.splitlines()[-1])
+            assert abort["event"] == "abort" and "mse" in abort["reason"], abort
+            for line in out.splitlines():
+                json.loads(line, parse_constant=reject)
+
     @pytest.mark.parametrize("flags, name", [
         ([], r"block0\.head1\.tau_raw"),      # the correlated head's temperature
         (["--model", "nonstationary"], r"destat\.xi"),

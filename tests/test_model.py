@@ -555,6 +555,24 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 6e6, peak       # 6 MB
 
+    def test_cab_backward_peak_below_two_gathers(self):
+        # every lag sum of the backward is one gather and one product, so no
+        # (k + 1)-lag product and no lag-major copy of it is ever alive
+        h, d_k, opts = 3, 8, A.CabOptions(c=1)
+        q, k, v = (rand((h, self.T, d_k), 71 + i) for i in range(3))
+        out, cache = A.correlated_attention_fwd(q, k, v, A.CAB_RAW, opts)
+        g = rand(out.shape, 74)
+        A.correlated_attention_bwd(cache, g)                 # warm up
+        tracemalloc.start()
+        try:
+            A.correlated_attention_bwd(cache, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gather = h * self.T * (topk_count(opts.c, self.T) + 1) * d_k * 8
+        assert gather == 786_432
+        assert peak < 2 * gather, peak
+
 
 class TestTraining:
     def _toy_data(self, n=10, seed=0):

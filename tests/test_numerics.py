@@ -190,20 +190,36 @@ class TestAdjoints:
             assert np.allclose(roll_adjoint(g, lag), expect, atol=1e-8)
             assert np.array_equal(roll_adjoint(g, lag), roll(g, (9 - lag) % 9))
 
+    @staticmethod
+    def _block_t(w, n):
+        """[W_0; ..; W_n-1] (n d x e, or a stack of them) as [W_0^T; ..;
+        W_n-1^T] (n e x d)."""
+        lead, (nd, e) = w.shape[:-2], w.shape[-2:]
+        blocks = w.reshape(lead + (n, nd // n, e))
+        return np.swapaxes(blocks, -1, -2).reshape(lead + (n * e, nd // n))
+
+    def _check_lag_sum(self, x, lags, w, g):
+        """roll_adjoint(g, lags) @ [W_l^T] is the gradient of
+        <roll(x, lags) @ [W_l], g>, and the sum of single-lag roll(g, -l) W_l^T."""
+        t, d, n = x.shape[-2], x.shape[-1], np.shape(lags)[-1]
+        got = roll_adjoint(g, lags) @ self._block_t(w, n)
+        assert np.allclose(got, self._fd(lambda y: roll(y, lags) @ w, x, g), atol=1e-8)
+        # one matrix of the stack at a time
+        stack = lambda a: a.reshape((-1,) + a.shape[-2:])
+        table = np.broadcast_to(lags, x.shape[:-2] + (n,)).reshape(-1, n)
+        total = [sum(roll(gm, -l % t) @ wm[d * i:d * i + d].T for i, l in enumerate(row))
+                 for gm, row, wm in zip(stack(g), table, stack(w))]
+        assert np.allclose(got, np.reshape(total, got.shape), atol=1e-13)
+
     def test_stacked_roll_adjoint_sums_inverse_rolls(self):
-        lags = [0, 4, 4, 8]
-        g = rand((9, 8), 16)                # one 9 x 2 block per lag
-        expect = self._fd(lambda x: roll(x, lags), rand((9, 2), 17), g)
-        assert np.allclose(roll_adjoint(g, lags), expect, atol=1e-8)
-        assert np.allclose(roll_adjoint(g, lags),
-                           sum(roll_adjoint(g[:, 2 * i:2 * i + 2], l)
-                               for i, l in enumerate(lags)), atol=1e-15)
+        # n lags shared: one 2 x 3 block W_l per lag
+        self._check_lag_sum(rand((9, 2), 17), [0, 4, 4, 8], rand((8, 3), 16),
+                            rand((9, 3), 18))
 
     def test_lag_table_roll_adjoint(self):
-        lags = np.array([[0, 3], [8, 8]])
-        g = rand((2, 9, 4), 18)
-        expect = self._fd(lambda x: roll(x, lags), rand((2, 9, 2), 19), g)
-        assert np.allclose(roll_adjoint(g, lags), expect, atol=1e-8)
+        # one row of lags and one [W_0; W_1] per matrix of the stack
+        self._check_lag_sum(rand((2, 9, 2), 19), np.array([[0, 3], [8, 8]]),
+                            rand((2, 4, 3), 20), rand((2, 9, 3), 21))
 
 
 class TestSigmoid:
