@@ -74,6 +74,8 @@ def validate(cfg: RunConfig) -> RunConfig:
     for key in ("d_model", "d_k", "h", "c", "batch_size", "epochs"):
         if getattr(cfg, key) < 1:
             raise UsageError(f"{key}={getattr(cfg, key)} must be at least 1")
+    if cfg.seed < 0:
+        raise UsageError(f"seed={cfg.seed} must not be negative")
     if not 0 <= cfg.lr < math.inf:
         raise UsageError(f"lr={cfg.lr} must be finite and not negative")
     if cfg.cab and not 0 <= cfg.m <= cfg.h:
@@ -218,8 +220,6 @@ def emit(record: dict, fh=None) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    if args.t < 2:
-        raise UsageError(f"--t {args.t}: series need T >= 2")
     spec = S.DatasetSpec(
         task=args.task, t=args.t, d=args.d, n_samples=args.samples,
         mask_ratio=args.mask_ratio, planted_lags=parse_lag_spec(args.lags),

@@ -7,6 +7,14 @@ target: w * roll(base_i, L) + sqrt(1 - w^2) * base_j, so unit weight at
 zero noise makes the target an exact shifted copy. The circular delay is a
 deliberate idealization matching the roll semantics of the scoring path.
 
+Generation runs over blocks of samples (``SAMPLE_BLOCK_DOUBLES``): one
+numpy call per AR(1) time step, and one per operation of the sinusoid and
+the standardization, covers every series of a block. Each sample draws
+from its own stream, seeded by (seed, sample index), and every operation
+rounds as it does on one series alone, so the samples and the files written
+from them are byte-identical to those of the per-feature reference
+generator in tests/test_synthdata.py.
+
 Datasets are text files. ``read_dataset`` reads a file one block at a time:
 it walks the sample headers and parses each T x d value or mask block with
 one numpy call, then checks the whole block at once (row width, finite
@@ -84,10 +92,14 @@ class DatasetSpec:
     def validate(self):
         if abs(sum(self.splits) - 1.0) > 1e-12:
             raise DatasetSpecError(f"split ratios {self.splits} must sum to 1")
+        if self.t < 2:
+            raise DatasetSpecError(f"T = {self.t}: series need T >= 2")
         if self.d < 1:
             raise DatasetSpecError(f"d = {self.d}: series need at least one feature")
         if not (math.isfinite(self.noise) and self.noise >= 0):
             raise DatasetSpecError(f"noise = {self.noise} must be finite and not negative")
+        if self.seed < 0:
+            raise DatasetSpecError(f"seed = {self.seed} must not be negative")
         if self.task == "classification" and self.n_classes < 1:
             raise DatasetSpecError(f"n_classes = {self.n_classes} must be at least 1")
         for src, dst, lag, w in self.planted_lags:
@@ -96,17 +108,11 @@ class DatasetSpec:
                 raise DatasetSpecError(fault)
 
 
-def _base_feature(rng, t: int, ar_coef: float, sin_amp: float) -> np.ndarray:
-    e = rng.normal(size=t)
-    # the AR(1) recursion on Python floats: the same IEEE products and sums
-    # as on numpy scalars, at a fraction of the cost per step
-    x = np.array(list(itertools.accumulate(e.tolist(), lambda a, b: ar_coef * a + b)))
-    freq = rng.integers(1, max(t // 4, 2))
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    x = x + sin_amp * math.sqrt(t) * np.sin(2.0 * math.pi * freq *
-                                            np.arange(t) / t + phase) / math.sqrt(t)
-    x = x - x.mean()
-    return x / max(x.std(), 1e-12)
+# Generation runs over blocks of samples: each array of a block (its base
+# features, its noise draws, its values and the temporaries of its
+# arithmetic) holds at most SAMPLE_BLOCK_DOUBLES doubles (128 KB), or one
+# sample's when a sample alone holds more.
+SAMPLE_BLOCK_DOUBLES = 2 ** 14
 
 
 def gen_lagged_series(spec: DatasetSpec) -> list:
@@ -117,27 +123,77 @@ def gen_lagged_series(spec: DatasetSpec) -> list:
     structure.
     """
     spec.validate()
+    per_block = max(1, SAMPLE_BLOCK_DOUBLES // (spec.t * spec.d))
     samples = []
-    for idx in range(spec.n_samples):
-        rng = np.random.default_rng([spec.seed, idx])
-        base = np.stack([_base_feature(rng, spec.t, spec.ar_coef, spec.sin_amp)
-                         for _ in range(spec.d)], axis=1)
-        label = None
-        lags = [tuple(p) for p in spec.planted_lags]
-        if spec.task == "classification":
-            label = int(rng.integers(spec.n_classes))
-            lags = [(s, djj, 1 + (lag - 1 + label) % (spec.t - 1), w)
-                    for (s, djj, lag, w) in lags]
-        values = base.copy()
-        for src, dst, lag, w in lags:
-            coupled = (w * np.roll(base[:, src], lag)
-                       + math.sqrt(max(0.0, 1.0 - w * w)) * base[:, dst])
-            values[:, dst] = coupled
-        if spec.noise > 0:
-            values = values + spec.noise * rng.normal(size=values.shape)
-        samples.append(SeriesSample(values=values, label=label,
-                                    planted_lags=lags))
+    for first in range(0, spec.n_samples, per_block):
+        samples += _gen_block(spec, first, min(per_block, spec.n_samples - first))
     return samples
+
+
+def _gen_block(spec: DatasetSpec, first: int, m: int) -> list:
+    """Samples ``first`` to ``first + m - 1``."""
+    t, d = spec.t, spec.d
+    # Each sample draws from its own stream: per feature, the AR(1)
+    # innovations, the sinusoid's frequency and its phase; then its label and
+    # its noise. The innovations are stored time-major, so that each step of
+    # the recursion below is one contiguous row over the block's series.
+    series = np.empty((t, m, d))
+    freq = np.empty((m, d))
+    phase = np.empty((m, d))
+    noise = np.empty((m, t, d)) if spec.noise > 0 else None
+    labels = [None] * m
+    for i in range(m):
+        rng = np.random.default_rng([spec.seed, first + i])
+        for f in range(d):
+            series[:, i, f] = rng.normal(size=t)
+            freq[i, f] = rng.integers(1, max(t // 4, 2))
+            phase[i, f] = rng.uniform(0.0, 2.0 * math.pi)
+        if spec.task == "classification":
+            labels[i] = int(rng.integers(spec.n_classes))
+        if noise is not None:
+            noise[i] = rng.normal(size=(t, d))
+
+    # AR(1) over every series of the block at once: the product is rounded
+    # before the sum, as in ar * x[s - 1] + e[s] on scalars
+    step = np.empty((m, d))
+    for prev, cur in zip(series, series[1:]):
+        np.multiply(prev, spec.ar_coef, out=step)
+        cur += step
+    # series and wave are freed as soon as they are used, which keeps the
+    # peak of a block's temporaries low
+    base = series.transpose(1, 2, 0).copy()
+    del series
+    wave = (2.0 * math.pi * freq)[..., None] * np.arange(t)
+    wave /= t
+    wave += phase[..., None]
+    np.sin(wave, out=wave)
+    wave *= spec.sin_amp * math.sqrt(t)
+    wave /= math.sqrt(t)
+    base += wave
+    del wave
+    # standardized along the contiguous time axis: each series' sums run in
+    # the order of a reduction over that series alone, so the bits match
+    base -= base.mean(axis=-1, keepdims=True)
+    base /= np.maximum(base.std(axis=-1, keepdims=True), 1e-12)
+
+    sample_lags = [[tuple(p) if label is None else
+                    (p[0], p[1], 1 + (p[2] - 1 + label) % (t - 1), p[3])
+                    for p in spec.planted_lags]
+                   for label in labels]
+    values = np.ascontiguousarray(base.transpose(0, 2, 1))
+    for j, (src, dst, _, w) in enumerate(spec.planted_lags):
+        shift = np.array([planted[j][2] for planted in sample_lags])
+        steps = (np.arange(t) - shift[:, None]) % t    # roll by each sample's lag
+        values[:, :, dst] = (w * np.take_along_axis(base[:, src], steps, axis=-1)
+                             + math.sqrt(max(0.0, 1.0 - w * w)) * base[:, dst])
+    if noise is not None:
+        noise *= spec.noise
+        values += noise
+    # each sample owns its values: as views of the block's array they raised
+    # the peak RSS of 30 s runs of the long benchmark workload by about 1 MB
+    return [SeriesSample(values=values[i].copy(), label=labels[i],
+                         planted_lags=sample_lags[i])
+            for i in range(m)]
 
 
 def apply_mask(sample: SeriesSample, ratio: float, seed: int) -> SeriesSample:
@@ -205,10 +261,23 @@ class DegenerateMaskError(ValueError):
 DATASET_TAG = "lagattn-dataset v1"
 
 
-def _csv_lines(block, dtype) -> str:
-    """One line of comma-separated values per row of ``block``."""
+def _csv_lines(block) -> str:
+    """One line of comma-separated floats per row of ``block``."""
     return "".join(",".join(map(repr, row)) + "\n"
-                   for row in np.asarray(block, dtype=dtype).tolist())
+                   for row in np.asarray(block, dtype=np.float64).tolist())
+
+
+def _binary_lines(block, what: str) -> str:
+    """One line of comma-separated 0/1 digits per row of ``block``, written
+    as one byte table; a block ``read_dataset`` would reject raises
+    ValueError."""
+    block = np.asarray(block)
+    if ((block != 0) & (block != 1)).any():
+        raise ValueError(f"{what} entry outside {{0, 1}}")
+    table = np.full((block.shape[0], block.shape[1], 2), ord(","), dtype=np.uint8)
+    table[..., 0] = block + ord("0")
+    table[:, -1, 1] = ord("\n")
+    return table.tobytes().decode("ascii")
 
 
 def write_dataset(path, samples: list, task: str = "imputation") -> None:
@@ -226,11 +295,11 @@ def write_dataset(path, samples: list, task: str = "imputation") -> None:
                      f"planted {len(s.planted_lags)}\n")
             for src, dst, lag, w in s.planted_lags:
                 fh.write(f"{int(src)} {int(dst)} {int(lag)} {repr(float(w))}\n")
-            fh.write(_csv_lines(s.values, np.float64))
+            fh.write(_csv_lines(s.values))
             if s.mask is not None:
-                fh.write(_csv_lines(s.mask, np.int64))
+                fh.write(_binary_lines(s.mask, f"sample {i}: mask"))
             if s.anomaly_flags is not None:
-                fh.write(_csv_lines([s.anomaly_flags], np.int64))
+                fh.write(_binary_lines([s.anomaly_flags], f"sample {i}: anomaly flag"))
 
 
 def _parse_rows(rows: list, dtype):

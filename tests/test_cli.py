@@ -293,6 +293,31 @@ class TestTooLittleData:
         assert re.search(match, err) and "Traceback" not in err
 
 
+class TestNegativeSeed:
+    """A negative seed, set by flag or by a --config file, exits 2 with a
+    usage message instead of escaping main as numpy's ValueError."""
+
+    @pytest.mark.parametrize("command, file_text", [
+        ("gen-data", None), ("train", None), ("ablate", None),
+        ("train", "seed = -1\n"),
+    ], ids=["gen-data", "train", "ablate", "config-file"])
+    def test_exits_usage(self, toy_dataset, tmp_path, capsys, command, file_text):
+        if command == "gen-data":
+            args = gen_args(tmp_path / "neg", t=24, d=3) + ["--seed", "-1"]
+        elif file_text is None:
+            args = [command, "--data", str(toy_dataset), *TRAIN_FAST, "--seed", "-1"]
+        else:
+            (tmp_path / "run.cfg").write_text(file_text)
+            args = [command, "--data", str(toy_dataset), *TRAIN_FAST,
+                    "--config", str(tmp_path / "run.cfg")]
+        capsys.readouterr()
+        assert run_cli(args) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert re.search(r"seed.*-1.*negative", captured.err)
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "neg.train").exists()
+
+
 class TestAblationPresets:
     def _cfg(self, preset):
         cfg = cli.RunConfig(ablation=preset)

@@ -1,3 +1,8 @@
+import itertools
+import math
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,85 @@ from lagattn.synthdata import (
     write_dataset,
 )
 from lagattn.xcorr import xcorr_all_lags_naive
+
+
+def _base_feature(rng, t: int, ar_coef: float, sin_amp: float) -> np.ndarray:
+    e = rng.normal(size=t)
+    x = np.array(list(itertools.accumulate(e.tolist(), lambda a, b: ar_coef * a + b)))
+    freq = rng.integers(1, max(t // 4, 2))
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    x = x + sin_amp * math.sqrt(t) * np.sin(2.0 * math.pi * freq *
+                                            np.arange(t) / t + phase) / math.sqrt(t)
+    x = x - x.mean()
+    return x / max(x.std(), 1e-12)
+
+
+def oracle_gen_lagged_series(spec: DatasetSpec) -> list:
+    """The generator one sample and one feature at a time, the reference the
+    block generator must match bit for bit."""
+    spec.validate()
+    samples = []
+    for idx in range(spec.n_samples):
+        rng = np.random.default_rng([spec.seed, idx])
+        base = np.stack([_base_feature(rng, spec.t, spec.ar_coef, spec.sin_amp)
+                         for _ in range(spec.d)], axis=1)
+        label = None
+        lags = [tuple(p) for p in spec.planted_lags]
+        if spec.task == "classification":
+            label = int(rng.integers(spec.n_classes))
+            lags = [(s, djj, 1 + (lag - 1 + label) % (spec.t - 1), w)
+                    for (s, djj, lag, w) in lags]
+        values = base.copy()
+        for src, dst, lag, w in lags:
+            coupled = (w * np.roll(base[:, src], lag)
+                       + math.sqrt(max(0.0, 1.0 - w * w)) * base[:, dst])
+            values[:, dst] = coupled
+        if spec.noise > 0:
+            values = values + spec.noise * rng.normal(size=values.shape)
+        samples.append(SeriesSample(values=values, label=label,
+                                    planted_lags=lags))
+    return samples
+
+
+# the data of the benchmark's toy and long workloads
+TOY_SPEC = DatasetSpec(t=96, d=8, n_samples=200, seed=1, noise=0.1,
+                       planted_lags=[(0, 1, 7, 1.0), (2, 3, 13, 1.0)])
+LONG_SPEC = DatasetSpec(task="classification", t=512, d=6, n_samples=160, seed=1,
+                        noise=0.1, planted_lags=[(0, 1, 29, 1.0), (2, 3, 61, 1.0)])
+
+
+class TestBlocksMatchOracle:
+    @pytest.mark.parametrize("spec", [
+        TOY_SPEC,
+        LONG_SPEC,
+        # 2^14 // (513 * 7) = 4 samples a block: the last block holds 3
+        DatasetSpec(task="classification", t=513, d=7, n_samples=11, n_classes=3,
+                    seed=5, noise=0.3, planted_lags=[(0, 1, 500, 0.7), (6, 1, 3, 0.2)]),
+        DatasetSpec(t=2, d=1, n_samples=5, seed=3, planted_lags=[(0, 0, 1, 0.5)],
+                    noise=0.2),
+        DatasetSpec(task="anomaly", t=64, d=4, n_samples=30, seed=7, noise=0.05,
+                    planted_lags=[(1, 2, 5, 0.9)]),
+    ], ids=["toy", "long", "t513-short-block", "t2-d1", "anomaly"])
+    def test_bitwise_equal(self, spec):
+        got, want = gen_lagged_series(spec), oracle_gen_lagged_series(spec)
+        assert len(got) == len(want) == spec.n_samples
+        for a, b in zip(got, want):
+            assert a.values.shape == (spec.t, spec.d)
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.label == b.label
+            assert a.planted_lags == b.planted_lags
+
+    def test_generation_peak_beyond_values(self):
+        """One long dataset allocates under 1 MB beyond the values it returns:
+        the block arrays, not the whole dataset's temporaries."""
+        gen_lagged_series(LONG_SPEC)                          # warm up
+        tracemalloc.start()
+        try:
+            samples = gen_lagged_series(LONG_SPEC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(s.values.nbytes for s in samples) < 2 ** 20
 
 
 class TestGeneration:
@@ -200,6 +284,20 @@ class TestFileFormat:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetParseError, match=":21: anomaly flag outside"):
             read_dataset(path)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("mask", 2, "sample 1: mask entry outside"),
+        ("mask", 0.5, "sample 1: mask entry outside"),
+        ("mask", np.nan, "sample 1: mask entry outside"),
+        ("anomaly_flags", -1, "sample 1: anomaly flag entry outside"),
+    ], ids=["mask-2", "mask-half", "mask-nan", "flag-negative"])
+    def test_write_rejects_non_binary(self, tmp_path, field, value, match):
+        samples = self._dataset("imputation" if field == "mask" else "anomaly")
+        entries = getattr(samples[1], field).astype(np.float64)
+        entries.flat[3] = value
+        samples[1] = replace(samples[1], **{field: entries})
+        with pytest.raises(ValueError, match=match):
+            write_dataset(tmp_path / "bad.train", samples, task="imputation")
 
     def test_truncated_sample(self, tmp_path):
         samples = self._dataset()
