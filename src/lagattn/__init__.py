@@ -10,7 +10,6 @@ data generation, training, evaluation and ablations.
 from .attention import CAB_RAW, CabOptions
 from .numerics import (
     Param,
-    check_gradient,
     l2_normalize_cols,
     roll,
     softmax_cols,
@@ -28,7 +27,7 @@ from .xcorr import (
 
 __all__ = [
     "CAB_RAW", "CabOptions", "Param", "LagScoreVector", "LagSelection",
-    "check_gradient", "softmax_cols", "l2_normalize_cols", "roll", "lag_mass",
+    "softmax_cols", "l2_normalize_cols", "roll", "lag_mass",
     "score_lags", "select_lags", "topk_lags", "xcorr_all_lags_fft",
     "xcorr_all_lags_naive",
 ]

@@ -34,7 +34,6 @@ ABLATION_PRESETS = {
     "static": dict(lambda_mode="fixed", beta_learnable=False, lambda_init=0.5,
                    beta_init=0.5),
     "lambda": dict(lambda_mode="learnable", beta_learnable=False, beta_init=0.5),
-    "beta": dict(lambda_mode="fixed", beta_learnable=True, lambda_init=0.5),
 }
 
 # allowed values of the string config keys, whether set by flag or by file
@@ -192,9 +191,15 @@ def load_data(prefix: str, scored_only: bool = False) -> Data:
         for i, s in enumerate(samples):
             if entry and getattr(s, entry) is None:
                 raise S.DatasetParseError(f"{prefix}.{name}: sample {i} has no {entry}")
+            # task_loss scores each train and val sample on its hidden entries
+            if entry == "mask" and name != "test" and s.mask.all():
+                raise S.DatasetParseError(f"{prefix}.{name}: sample {i} hides no entry")
             if (s.anomaly_flags is None) != (samples[0].anomaly_flags is None):
                 raise S.DatasetParseError(f"{prefix}.{name}: samples 0 and {i} disagree "
                                           "on anomaly flags")
+        # the test metrics average over the hidden entries of the whole split
+        if entry == "mask" and all(s.mask.all() for s in samples):
+            raise S.DatasetParseError(f"{prefix}.{name}: no sample hides an entry")
     read = {name: [S.to_training_sample(s, task) for s in samples]
             for name, (samples, _) in splits.items()}
     everything = [s for samples in read.values() for s in samples]
@@ -222,7 +227,7 @@ def emit(record: dict, fh=None) -> None:
 def cmd_gen_data(args) -> int:
     spec = S.DatasetSpec(
         task=args.task, t=args.t, d=args.d, n_samples=args.samples,
-        mask_ratio=args.mask_ratio, planted_lags=parse_lag_spec(args.lags),
+        planted_lags=parse_lag_spec(args.lags),
         noise=args.noise, seed=args.seed, n_classes=args.classes,
     )
     # synthdata rejects out-of-range flag values (a lag outside [1, T-1], a
@@ -232,7 +237,7 @@ def cmd_gen_data(args) -> int:
         if args.task == "imputation":
             samples = [S.apply_mask(s, args.mask_ratio, seed=args.seed * 100003 + i)
                        for i, s in enumerate(samples)]
-        train, val, test = S.split_dataset(samples, spec.splits)
+        train, val, test = S.split_dataset(samples)
         if not (train and val and test):
             raise UsageError(f"--samples {args.samples} leaves a split empty "
                              f"({len(train)}/{len(val)}/{len(test)} train/val/test)")
@@ -421,7 +426,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, S.DatasetParseError, M.CheckpointError) as exc:
+    except (OSError, S.DatasetParseError, M.CheckpointError) as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_FILE
     except M.NumericalFailure as exc:

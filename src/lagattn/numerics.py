@@ -1,17 +1,17 @@
-"""Dense-matrix kernels with hand-derived adjoints and a finite-difference checker.
+"""Dense-matrix kernels with hand-derived adjoints.
 
 Everything here operates on float64 numpy arrays in time-major layout (T
 rows, d columns), either one matrix or a stack of them along leading axes:
 the column softmax and l2-normalize reduce over axis -2, so they act on each
-matrix of a stack, and ``roll`` gathers per-matrix lags. The softmax and the
-normalize map an output cotangent back through their ``*_adjoint``; a lag sum
-roll(x, lags) @ [W_l] maps it back as roll_adjoint(g, lags) @ [W_l^T]. The op
-set is small and fixed, so no autodiff tape is needed.
+matrix of a stack, and ``roll`` gathers per-matrix lags from an H x T x d
+stack. The softmax and the normalize map an output cotangent back through
+their ``*_adjoint``; a lag sum roll(x, lags) @ [W_l] maps it back as
+roll_adjoint(g, lags) @ [W_l^T]. The op set is small and fixed, so no
+autodiff tape is needed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,41 +104,37 @@ def l2_normalize_cols_adjoint(g: np.ndarray, a: np.ndarray, epsilon: float = EPS
     return da
 
 
-def _lag_rows(lag, lead: tuple, t: int) -> np.ndarray:
-    """Rows of the flat (H T) x d view of a stack of H = prod(lead) matrices:
-    entry [h, s, l] is row h T + (s - lag_l) mod T, where ``lag`` is an int,
-    n lags for every matrix, or one row of n lags per matrix."""
-    lags = np.asarray(lag)
-    if lags.ndim > 1 and lags.shape[:-1] != lead:
-        raise ShapeError(f"lag table {lags.shape} does not fit a stack of {lead}")
+def _lag_rows(lags: np.ndarray, h: int, t: int) -> np.ndarray:
+    """Rows of the flat (H T) x d view of an H x T x d stack: entry [h, s, l]
+    is row h T + (s - lags[h, l]) mod T."""
+    if lags.ndim != 2 or lags.shape[0] != h:
+        raise ShapeError(f"lag table {lags.shape} does not fit a stack of {h}")
     if lags.min() < 0 or lags.max() >= t:
-        raise ParameterError(f"lag {lag} out of range [0, {t - 1}]")
-    h = math.prod(lead)
-    rows = (np.arange(t)[:, None] - lags.reshape(h if lags.ndim > 1 else 1, 1, -1)) % t
-    if h > 1:       # matrix h starts at row h T
-        rows = rows + t * np.arange(h)[:, None, None]
-    return rows
+        raise ParameterError(f"lag {lags} out of range [0, {t - 1}]")
+    return (np.arange(t)[:, None] - lags[:, None, :]) % t + t * np.arange(h)[:, None, None]
 
 
-def roll(a: np.ndarray, lag) -> np.ndarray:
-    """Circular vertical shift: out(t, j) = a((t - lag) mod T, j).
+def roll(a: np.ndarray, lags) -> np.ndarray:
+    """Circular vertical shifts of an H x T x d stack, one row of n lags per
+    matrix: out[h](t, l d + j) = a[h]((t - lags[h, l]) mod T, j).
 
-    ``a`` is a T x d matrix or a stack of them; ``lag`` is an int, n lags for
-    every matrix, or one row of n lags per matrix. The n shifts of a matrix
-    sit side by side, T x (n d) with column block l shifted by lag l, so one
-    matrix product with the result sums over the lags. One gather for all.
+    The n shifts of a matrix sit side by side, T x (n d) with column block l
+    shifted by lag l, so one matrix product with the result sums over the
+    lags. One gather for all.
     """
     a = as_matrix(a)
-    rows = _lag_rows(lag, a.shape[:-2], a.shape[-2])
+    if a.ndim != 3:
+        raise ShapeError(f"expected an H x T x d stack, got shape {a.shape}")
+    rows = _lag_rows(np.asarray(lags), a.shape[0], a.shape[1])
     return np.take(a.reshape(-1, a.shape[-1]), rows, axis=0).reshape(
         a.shape[:-1] + (-1,))
 
 
-def roll_adjoint(a: np.ndarray, lag) -> np.ndarray:
+def roll_adjoint(a: np.ndarray, lags) -> np.ndarray:
     """Each lag's transposed shift, side by side: ``roll`` at the negated lags.
     g -> roll_adjoint(g, lags) @ [W_l^T] is the adjoint of x -> roll(x, lags)
     @ [W_l], so the product after this gather sums over the lags."""
-    return roll(a, (-np.asarray(lag)) % np.shape(a)[-2])
+    return roll(a, (-np.asarray(lags)) % np.shape(a)[-2])
 
 
 def sigmoid(x):
@@ -172,62 +168,3 @@ ParamSet = dict  # name -> Param
 def zero_grads(params: ParamSet) -> None:
     for p in params.values():
         p.grad[...] = 0.0
-
-
-@dataclass
-class GradCheckEntry:
-    name: str
-    max_rel_err: float
-    passed: bool
-    finite: bool = True
-
-
-@dataclass
-class GradCheckReport:
-    entries: list
-    max_rel_err: float
-    passed: bool
-
-    def failures(self):
-        return [e for e in self.entries if not e.passed]
-
-
-def _rel_err(a: float, f: float) -> float:
-    return abs(a - f) / max(abs(a), abs(f), 1e-6)
-
-
-def check_gradient(f, params: ParamSet, step: float = 1e-5,
-                   tolerance: float = 1e-4) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
-
-    ``f(params)`` must return a scalar loss and, as a side effect, leave the
-    analytic gradient of that loss in each ``Param.grad`` (zeroing first).
-    """
-    if not step > 0:
-        raise ParameterError("step must be positive")
-    f(params)
-    analytic = {name: p.grad.copy() for name, p in params.items()}
-
-    entries = []
-    for name, p in params.items():
-        flat = p.value.reshape(-1)
-        an = analytic[name].reshape(-1)
-        worst = 0.0
-        finite = True
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            fp = f(params)
-            flat[i] = orig - step
-            fm = f(params)
-            flat[i] = orig
-            if not (np.isfinite(fp) and np.isfinite(fm)):
-                finite = False
-                continue
-            fd = (fp - fm) / (2.0 * step)
-            worst = max(worst, _rel_err(an[i], fd))
-        entries.append(GradCheckEntry(name, worst, finite and worst <= tolerance, finite))
-    # restore grads to the analytic values at the unperturbed point
-    f(params)
-    overall = max((e.max_rel_err for e in entries), default=0.0)
-    return GradCheckReport(entries, overall, all(e.passed for e in entries))

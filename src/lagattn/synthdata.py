@@ -41,26 +41,13 @@ class DatasetParseError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class SeriesSample:
     values: np.ndarray                 # T x d
     mask: np.ndarray | None = None     # T x d of {0,1}; 1 = observed
     label: int | None = None
     anomaly_flags: np.ndarray | None = None   # length T of {0,1}
     planted_lags: list = field(default_factory=list)  # (src, dst, lag, weight)
-
-    def __eq__(self, other):
-        if not isinstance(other, SeriesSample):
-            return NotImplemented
-        def eq(a, b):
-            if a is None or b is None:
-                return a is None and b is None
-            return np.array_equal(np.asarray(a), np.asarray(b))
-        return (eq(self.values, other.values) and eq(self.mask, other.mask)
-                and self.label == other.label
-                and eq(self.anomaly_flags, other.anomaly_flags)
-                and [tuple(p) for p in self.planted_lags]
-                == [tuple(p) for p in other.planted_lags])
 
 
 def planted_fault(src: int, dst: int, lag: int, weight: float, t: int, d: int):
@@ -80,18 +67,12 @@ class DatasetSpec:
     t: int = 96
     d: int = 8
     n_samples: int = 32
-    mask_ratio: float = 0.25
     planted_lags: list = field(default_factory=list)  # (src, dst, lag, weight)
     noise: float = 0.0
     seed: int = 0
-    splits: tuple = (0.6, 0.2, 0.2)
     n_classes: int = 2
-    ar_coef: float = 0.8
-    sin_amp: float = 0.5
 
     def validate(self):
-        if abs(sum(self.splits) - 1.0) > 1e-12:
-            raise DatasetSpecError(f"split ratios {self.splits} must sum to 1")
         if self.t < 2:
             raise DatasetSpecError(f"T = {self.t}: series need T >= 2")
         if self.d < 1:
@@ -106,6 +87,11 @@ class DatasetSpec:
             fault = planted_fault(src, dst, lag, w, self.t, self.d)
             if fault:
                 raise DatasetSpecError(fault)
+
+
+AR_COEF = 0.8       # of each base feature's AR(1) process
+SIN_AMP = 0.5       # of its sinusoid
+SPLITS = (0.6, 0.2, 0.2)    # train, val and test shares of a dataset
 
 
 # Generation runs over blocks of samples: each array of a block (its base
@@ -157,7 +143,7 @@ def _gen_block(spec: DatasetSpec, first: int, m: int) -> list:
     # before the sum, as in ar * x[s - 1] + e[s] on scalars
     step = np.empty((m, d))
     for prev, cur in zip(series, series[1:]):
-        np.multiply(prev, spec.ar_coef, out=step)
+        np.multiply(prev, AR_COEF, out=step)
         cur += step
     # series and wave are freed as soon as they are used, which keeps the
     # peak of a block's temporaries low
@@ -167,7 +153,7 @@ def _gen_block(spec: DatasetSpec, first: int, m: int) -> list:
     wave /= t
     wave += phase[..., None]
     np.sin(wave, out=wave)
-    wave *= spec.sin_amp * math.sqrt(t)
+    wave *= SIN_AMP * math.sqrt(t)
     wave /= math.sqrt(t)
     base += wave
     del wave
@@ -197,12 +183,16 @@ def _gen_block(spec: DatasetSpec, first: int, m: int) -> list:
 
 
 def apply_mask(sample: SeriesSample, ratio: float, seed: int) -> SeriesSample:
-    """Hide exactly round(ratio * T * d) uniformly random entries."""
+    """Hide exactly round(ratio * T * d) uniformly random entries, at least
+    one: imputation scores the hidden entries."""
     if not 0.0 < ratio < 1.0:
         raise ParameterError(f"mask ratio {ratio} outside (0, 1)")
     values = sample.values
     n_total = values.size
     n_masked = int(round(ratio * n_total))
+    if n_masked == 0:
+        raise ParameterError(f"mask ratio {ratio} hides no entry of a "
+                             f"{values.shape[0]} x {values.shape[1]} sample")
     rng = np.random.default_rng(seed)
     flat = rng.choice(n_total, size=n_masked, replace=False)
     mask = np.ones(n_total, dtype=np.int64)
@@ -232,10 +222,10 @@ def inject_anomalies(sample: SeriesSample, count: int, magnitude: float,
     return replace(sample, values=values, anomaly_flags=flags)
 
 
-def split_dataset(samples: list, splits=(0.6, 0.2, 0.2)) -> tuple:
+def split_dataset(samples: list) -> tuple:
     n = len(samples)
-    n_train = int(round(splits[0] * n))
-    n_val = int(round(splits[1] * n))
+    n_train = int(round(SPLITS[0] * n))
+    n_val = int(round(SPLITS[1] * n))
     return samples[:n_train], samples[n_train:n_train + n_val], samples[n_train + n_val:]
 
 
@@ -267,13 +257,10 @@ def _csv_lines(block) -> str:
                    for row in np.asarray(block, dtype=np.float64).tolist())
 
 
-def _binary_lines(block, what: str) -> str:
+def _binary_lines(block) -> str:
     """One line of comma-separated 0/1 digits per row of ``block``, written
-    as one byte table; a block ``read_dataset`` would reject raises
-    ValueError."""
+    as one byte table."""
     block = np.asarray(block)
-    if ((block != 0) & (block != 1)).any():
-        raise ValueError(f"{what} entry outside {{0, 1}}")
     table = np.full((block.shape[0], block.shape[1], 2), ord(","), dtype=np.uint8)
     table[..., 0] = block + ord("0")
     table[:, -1, 1] = ord("\n")
@@ -281,6 +268,16 @@ def _binary_lines(block, what: str) -> str:
 
 
 def write_dataset(path, samples: list, task: str = "imputation") -> None:
+    """Writes ``samples`` to ``path``. A mask or flag entry outside {0, 1},
+    which ``read_dataset`` would reject, raises ValueError before the file
+    is opened."""
+    for i, s in enumerate(samples):
+        for what, block in (("mask", s.mask), ("anomaly flag", s.anomaly_flags)):
+            if block is None:
+                continue
+            block = np.asarray(block)
+            if ((block != 0) & (block != 1)).any():
+                raise ValueError(f"sample {i}: {what} entry outside {{0, 1}}")
     with open(path, "w") as fh:
         fh.write(DATASET_TAG + "\n")
         if samples:
@@ -297,9 +294,9 @@ def write_dataset(path, samples: list, task: str = "imputation") -> None:
                 fh.write(f"{int(src)} {int(dst)} {int(lag)} {repr(float(w))}\n")
             fh.write(_csv_lines(s.values))
             if s.mask is not None:
-                fh.write(_binary_lines(s.mask, f"sample {i}: mask"))
+                fh.write(_binary_lines(s.mask))
             if s.anomaly_flags is not None:
-                fh.write(_binary_lines([s.anomaly_flags], f"sample {i}: anomaly flag"))
+                fh.write(_binary_lines([s.anomaly_flags]))
 
 
 def _parse_rows(rows: list, dtype):

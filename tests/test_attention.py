@@ -25,7 +25,6 @@ from lagattn.numerics import (
     ParameterError,
     ScalarRangeError,
     ShapeError,
-    check_gradient,
     l2_normalize_cols,
     l2_normalize_cols_adjoint,
     roll,
@@ -35,6 +34,8 @@ from lagattn.numerics import (
     softplus,
     zero_grads,
 )
+
+from helpers import check_gradient
 
 NO_FILTERING = CabOptions(filtering=False)
 
@@ -49,7 +50,8 @@ def rand(shape, seed=0):
 
 def lag_terms(v, cache):
     """The terms roll(V, l) S_l of the selected lags of a one-head CAB cache."""
-    return [roll(v, l) @ s_l for l, s_l in zip(cache.all_lags[0, 1:], cache.s[0, 1:])]
+    return [np.roll(v, l, axis=0) @ s_l
+            for l, s_l in zip(cache.all_lags[0, 1:], cache.s[0, 1:])]
 
 
 def reference_self_attention(q, k, v):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 from dataclasses import replace
@@ -230,6 +231,19 @@ def _no_mask(prefix):
     _replace_sample(f"{prefix}.train", 2, mask=None)
 
 
+def _full_mask(prefix):
+    # an imputation sample that hides no entry, so it has nothing to score
+    samples, _ = read_dataset(f"{prefix}.train")
+    _replace_sample(f"{prefix}.train", 2, mask=np.ones_like(samples[2].mask))
+
+
+def _full_test_masks(prefix):
+    # a test split that hides no entry, so its metrics have nothing to average
+    samples, _ = read_dataset(f"{prefix}.test")
+    for i, s in enumerate(samples):
+        _replace_sample(f"{prefix}.test", i, mask=np.ones_like(s.mask))
+
+
 def _no_label(prefix):
     run_cli(gen_args(prefix, t=24, d=3, samples=10, task="classification"))
     _replace_sample(f"{prefix}.val", 1, label=None)
@@ -260,6 +274,7 @@ class TestTooLittleData:
         (["--samples", "4"], 0),
         (["--lags", "0:1:30"], cli.EXIT_USAGE),  # lag outside [1, T-1] at T=24
         (["--mask-ratio", "0"], cli.EXIT_USAGE),
+        (["--mask-ratio", "0.001"], cli.EXIT_USAGE),    # hides no entry of 24 x 3
         (["--task", "anomaly", "--anomaly-count", "40"], cli.EXIT_USAGE),
         (["--d", "0"], cli.EXIT_USAGE),
         (["--task", "classification", "--classes", "0"], cli.EXIT_USAGE),
@@ -268,8 +283,8 @@ class TestTooLittleData:
         (["--task", "anomaly", "--anomaly-magnitude", "inf"], cli.EXIT_USAGE),
         (["--lags", "0:1:7@nan"], cli.EXIT_USAGE),
     ], ids=["t1", "samples0", "samples2", "samples3", "samples4", "lag-30",
-            "mask-ratio-0", "anomaly-count-40", "d0", "classes0", "noise-nan",
-            "noise-negative", "anomaly-magnitude-inf", "weight-nan"])
+            "mask-ratio-0", "mask-hides-nothing", "anomaly-count-40", "d0", "classes0",
+            "noise-nan", "noise-negative", "anomaly-magnitude-inf", "weight-nan"])
     def test_gen_data(self, tmp_path, capsys, flags, code):
         out = tmp_path / "tiny"
         args = gen_args(out, t=24, d=3) + flags
@@ -282,15 +297,32 @@ class TestTooLittleData:
         (_nan_value, r"toy\.test:5: non-finite"),
         (_wider_val, r"toy\.val: the val split has d = 4 features, the train split 3"),
         (_no_mask, r"toy\.train: sample 2 has no mask"),
+        (_full_mask, r"toy\.train: sample 2 hides no entry"),
+        (_full_test_masks, r"toy\.test: no sample hides an entry"),
         (_no_label, r"toy\.val: sample 1 has no label"),
         (_some_flags, r"toy\.train: samples 0 and 1 disagree on anomaly flags"),
-    ], ids=["empty-val", "t1", "nan", "d-mismatch", "no-mask", "no-label", "some-flags"])
+    ], ids=["empty-val", "t1", "nan", "d-mismatch", "no-mask", "full-mask",
+            "full-test-masks", "no-label", "some-flags"])
     def test_train_rejects(self, toy_dataset, capsys, damage, match):
         damage(toy_dataset)
         assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST]) \
             == cli.EXIT_FILE
         err = capsys.readouterr().err
         assert re.search(match, err) and "Traceback" not in err
+
+
+    def test_fully_observed_test_sample_scores(self, toy_dataset, tmp_path, capsys):
+        # the test metrics average over the split's hidden entries, so one
+        # test sample that hides none is scored with the others
+        _replace_sample(f"{toy_dataset}.test", 0,
+                        mask=np.ones_like(read_dataset(f"{toy_dataset}.test")[0][0].mask))
+        ckpt = tmp_path / "model.ckpt"
+        assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST,
+                        "--checkpoint", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert run_cli(["eval", "--data", str(toy_dataset), "--checkpoint",
+                        str(ckpt)]) == 0
+        assert math.isfinite(json.loads(capsys.readouterr().out)["mse"])
 
 
 class TestNegativeSeed:
@@ -355,12 +387,13 @@ class TestAblationPresets:
         assert params["block0.lambda_raw"].value.shape == (cfg.h - cfg.m,)
         assert "block0.beta_raw" not in params
 
-    def test_beta_preset(self):
-        cfg = self._cfg("beta")
-        assert cfg.lambda_mode == "fixed" and cfg.beta_learnable
-        params = M.init_params(cfg, seed=0)
-        assert params["block0.beta_raw"].value.shape == (cfg.h - cfg.m,)
-        assert "block0.lambda_raw" not in params
+    def test_beta_preset_removed(self, toy_dataset, capsys):
+        # at the defaults it set exactly the baseline's values
+        assert "beta" not in cli.ABLATION_PRESETS
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--data", str(toy_dataset), *TRAIN_FAST,
+                      "--ablation", "beta"])
+        assert exc.value.code == cli.EXIT_USAGE
 
     def test_ablate_rejects_ablation_flag(self, toy_dataset, capsys):
         # ablate runs every preset; a preset flag would be silently ignored
@@ -603,3 +636,18 @@ class TestConfigCompatibility:
         out = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert out["config_hash"] == old_hash
         assert out["mse"] == trained["mse"]
+
+    def test_beta_preset_checkpoint_evaluates(self, toy_dataset, tmp_path, capsys):
+        # the dropped beta preset set the baseline's values: a checkpoint it
+        # trained evaluates from its .config, which names it
+        ckpt = tmp_path / "model.ckpt"
+        assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST,
+                        "--checkpoint", str(ckpt)]) == 0
+        trained = json.loads(capsys.readouterr().out.splitlines()[-1])
+        (tmp_path / "model.ckpt.config").write_text(
+            OLD_BASELINE_CONFIG.replace("ablation = baseline", "ablation = beta"))
+        assert run_cli(["eval", "--data", str(toy_dataset),
+                        "--checkpoint", str(ckpt)]) == 0
+        out = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert out["mse"] == trained["mse"]
+        assert out["config_hash"] != trained["config_hash"]

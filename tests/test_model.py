@@ -8,7 +8,7 @@ import pytest
 
 from lagattn import attention as A
 from lagattn import model as M
-from lagattn.numerics import check_gradient, sigmoid, softplus, zero_grads
+from lagattn.numerics import sigmoid, softplus, zero_grads
 from lagattn.synthdata import (
     DatasetSpec,
     apply_mask,
@@ -17,6 +17,8 @@ from lagattn.synthdata import (
     to_training_sample,
 )
 from lagattn.xcorr import topk_count
+
+from helpers import check_gradient
 
 
 def rand(shape, seed=0):
@@ -58,6 +60,24 @@ class TestStationarize:
         xp, _ = M.stationarize(x)
         assert np.abs(xp.mean(axis=0)).max() < 1e-10
         assert np.abs(xp.std(axis=0) - 1.0).max() < 1e-10
+
+    def test_huge_scale_is_invisible(self):
+        # x * 1e200 overflows a plain sum of squares; past stationarize, self
+        # attention never sees the input's scale
+        x = rand((16, 3), 6)
+        for task, kw in (("classification", dict(n_classes=3)), ("imputation", {})):
+            cfg = toy_config(task=task, temporal="self", **kw)
+            params = M.init_params(cfg, seed=0)
+            small = M.model_forward(x, params, cfg)[0]
+            big = M.model_forward(x * 1e200, params, cfg)[0]
+            want = small if task == "classification" else small * 1e200
+            assert np.abs(big - want).max() <= 1e-12 * np.abs(want).max(), task
+        # a normal sample keeps its bits beside a huge one in its chunk
+        xp, stats = M.stationarize(np.stack([x, x * 1e200]))
+        alone, alone_stats = M.stationarize(x)
+        assert np.array_equal(xp[0], alone)
+        assert np.array_equal(stats.sigma[0], alone_stats.sigma)
+        assert np.isfinite(stats.sigma).all()
 
 
 def encoder_output(x, params, cfg):
@@ -378,16 +398,6 @@ class TestChunks:
 
 
 class TestParamRegistry:
-    def test_count_matches_closed_form(self):
-        for kw in (dict(), dict(temporal="destat"), dict(h=4, m=4),
-                   dict(h=4, m=0), dict(task="classification", n_classes=3),
-                   dict(lambda_mode="learnable"), dict(beta_learnable=False),
-                   dict(filtering_enabled=False, beta_learnable=False),
-                   dict(filtering_enabled=False, beta_init=0.0), dict(cab=False)):
-            cfg = toy_config(**kw)
-            params = M.init_params(cfg, seed=0)
-            assert sum(p.value.size for p in params.values()) == M.count_params(cfg), kw
-
     def test_cab_scalars_only_on_correlated_heads(self):
         # one value per correlated head (heads 2 and 3), none for heads 0, 1
         cfg = toy_config(h=4, m=2)
@@ -423,8 +433,10 @@ class TestParamRegistry:
                               rng.normal(0.0, 1 / math.sqrt(12), size=(12, 4)))
 
     def test_m_h_swap_changes_only_scalars(self):
-        full = M.count_params(toy_config(h=2, m=2))
-        mixed = M.count_params(toy_config(h=2, m=1))
+        def size(cfg):
+            return sum(p.value.size for p in M.init_params(cfg, seed=0).values())
+        full = size(toy_config(h=2, m=2))
+        mixed = size(toy_config(h=2, m=1))
         assert mixed == full + 2  # beta_raw + tau_raw for the one CAB head
 
 
@@ -554,6 +566,24 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 6e6, peak       # 6 MB
+
+    def test_eval_peak_is_one_forward(self):
+        # evaluate_metrics keeps only each prediction: no sample's cache is
+        # alive while the next sample runs (1.59 times one forward when it was)
+        cfg, params, _ = self._setup()
+        samples = [(rand((self.T, 6), 80 + i), None, None, i % 2) for i in range(4)]
+        peaks = []
+        for run in (lambda: M.model_forward(samples[0][0], params, cfg),
+                    lambda: M.evaluate_metrics(samples, params, cfg)):
+            run()                                           # warm up
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one, whole = peaks
+        assert whole < 1.1 * one, (whole, one)
 
     def test_cab_backward_peak_below_two_gathers(self):
         # every lag sum of the backward is one gather and one product, so no

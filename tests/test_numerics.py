@@ -8,7 +8,6 @@ from lagattn.numerics import (
     Param,
     ParameterError,
     ShapeError,
-    check_gradient,
     l2_normalize_cols,
     l2_normalize_cols_adjoint,
     roll,
@@ -18,6 +17,8 @@ from lagattn.numerics import (
     softmax_cols_adjoint,
     zero_grads,
 )
+
+from helpers import check_gradient
 
 
 def rand(shape, seed=0):
@@ -91,46 +92,54 @@ class TestL2NormalizeCols:
 
 class TestRoll:
     def test_zero_is_identity(self):
-        x = rand((5, 2), 5)
-        assert np.array_equal(roll(x, 0), x)
+        x = rand((1, 5, 2), 5)
+        assert np.array_equal(roll(x, [[0]]), x)
 
     def test_wraparound(self):
-        x = np.array([[1.0], [2.0], [3.0]])
-        assert np.array_equal(roll(x, 1), [[3.0], [1.0], [2.0]])
+        x = np.array([[[1.0], [2.0], [3.0]]])
+        assert np.array_equal(roll(x, [[1]]), [[[3.0], [1.0], [2.0]]])
 
     def test_out_of_range(self):
         with pytest.raises(ParameterError):
-            roll(rand((4, 1)), 4)
+            roll(rand((1, 4, 1)), [[4]])
         with pytest.raises(ParameterError):
-            roll(rand((4, 1)), -1)
+            roll(rand((1, 4, 1)), [[-1]])
+
+    def test_only_a_stack_and_a_lag_table(self):
+        # the one form correlated attention passes: H x T x d and H x n
+        with pytest.raises(ShapeError):
+            roll(rand((4, 2)), [[1]])
+        with pytest.raises(ShapeError):
+            roll(rand((2, 4, 2)), [1, 2])
+        with pytest.raises(ShapeError):
+            roll(rand((2, 4, 2)), [[1], [2], [3]])
 
     @given(st.integers(0, 2**31 - 1), st.integers(0, 7), st.integers(0, 7))
     @settings(max_examples=30, deadline=None)
     def test_composition(self, seed, a, b):
-        x = rand((8, 2), seed)
-        assert np.array_equal(roll(roll(x, a), b), roll(x, (a + b) % 8))
+        x = rand((1, 8, 2), seed)
+        assert np.array_equal(roll(roll(x, [[a]]), [[b]]), roll(x, [[(a + b) % 8]]))
 
     def test_lag_array_gives_stack(self):
         # n lags give the n shifts side by side, one column block per lag
         x = rand((7, 2), 7)
         lags = [0, 3, 3, 6]
-        assert np.array_equal(roll(x, lags),
-                              np.concatenate([roll(x, l) for l in lags], axis=1))
+        assert np.array_equal(roll(x[None], [lags])[0],
+                              np.concatenate([np.roll(x, l, axis=0) for l in lags], axis=1))
         with pytest.raises(ParameterError):
-            roll(x, [0, 7])
+            roll(x[None], [[0, 7]])
 
     def test_lag_table_gathers_per_matrix(self):
         x = rand((3, 7, 2), 8)
         lags = np.array([[0, 1], [2, 6], [5, 5]])
         assert np.array_equal(roll(x, lags), np.stack(
-            [np.concatenate([roll(xh, l) for l in row], axis=1)
+            [np.concatenate([np.roll(xh, l, axis=0) for l in row], axis=1)
              for xh, row in zip(x, lags)]))
-        assert np.array_equal(roll(x, 4), np.stack([roll(xh, 4) for xh in x]))
 
     def test_bijection(self):
-        x = rand((11, 3), 6)
+        x = rand((1, 11, 3), 6)
         for lag in range(11):
-            assert np.array_equal(roll(roll(x, lag), (11 - lag) % 11), x)
+            assert np.array_equal(roll(roll(x, [[lag]]), [[(11 - lag) % 11]]), x)
 
 
 class TestAdjoints:
@@ -184,11 +193,11 @@ class TestAdjoints:
                            atol=1e-7)
 
     def test_roll_adjoint_is_inverse_roll(self):
-        g = rand((9, 2), 14)
+        g = rand((1, 9, 2), 14)
         for lag in range(9):
-            expect = self._fd(lambda x: roll(x, lag), rand((9, 2), 15), g)
-            assert np.allclose(roll_adjoint(g, lag), expect, atol=1e-8)
-            assert np.array_equal(roll_adjoint(g, lag), roll(g, (9 - lag) % 9))
+            expect = self._fd(lambda x: roll(x, [[lag]]), rand((1, 9, 2), 15), g)
+            assert np.allclose(roll_adjoint(g, [[lag]]), expect, atol=1e-8)
+            assert np.array_equal(roll_adjoint(g, [[lag]]), roll(g, [[(9 - lag) % 9]]))
 
     @staticmethod
     def _block_t(w, n):
@@ -201,20 +210,19 @@ class TestAdjoints:
     def _check_lag_sum(self, x, lags, w, g):
         """roll_adjoint(g, lags) @ [W_l^T] is the gradient of
         <roll(x, lags) @ [W_l], g>, and the sum of single-lag roll(g, -l) W_l^T."""
-        t, d, n = x.shape[-2], x.shape[-1], np.shape(lags)[-1]
+        d, n = x.shape[-1], np.shape(lags)[-1]
         got = roll_adjoint(g, lags) @ self._block_t(w, n)
         assert np.allclose(got, self._fd(lambda y: roll(y, lags) @ w, x, g), atol=1e-8)
         # one matrix of the stack at a time
-        stack = lambda a: a.reshape((-1,) + a.shape[-2:])
-        table = np.broadcast_to(lags, x.shape[:-2] + (n,)).reshape(-1, n)
-        total = [sum(roll(gm, -l % t) @ wm[d * i:d * i + d].T for i, l in enumerate(row))
-                 for gm, row, wm in zip(stack(g), table, stack(w))]
-        assert np.allclose(got, np.reshape(total, got.shape), atol=1e-13)
+        total = [sum(np.roll(gm, -l, axis=0) @ wm[d * i:d * i + d].T
+                     for i, l in enumerate(row))
+                 for gm, row, wm in zip(g, lags, w)]
+        assert np.allclose(got, total, atol=1e-13)
 
     def test_stacked_roll_adjoint_sums_inverse_rolls(self):
-        # n lags shared: one 2 x 3 block W_l per lag
-        self._check_lag_sum(rand((9, 2), 17), [0, 4, 4, 8], rand((8, 3), 16),
-                            rand((9, 3), 18))
+        # n lags of one matrix: one 2 x 3 block W_l per lag
+        self._check_lag_sum(rand((1, 9, 2), 17), np.array([[0, 4, 4, 8]]),
+                            rand((1, 8, 3), 16), rand((1, 9, 3), 18))
 
     def test_lag_table_roll_adjoint(self):
         # one row of lags and one [W_0; W_1] per matrix of the stack

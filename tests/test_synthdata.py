@@ -8,6 +8,8 @@ import pytest
 
 from lagattn.numerics import l2_normalize_cols
 from lagattn.synthdata import (
+    AR_COEF,
+    SIN_AMP,
     DatasetParseError,
     DatasetSpec,
     DatasetSpecError,
@@ -22,13 +24,15 @@ from lagattn.synthdata import (
 )
 from lagattn.xcorr import xcorr_all_lags_naive
 
+from helpers import same_sample
 
-def _base_feature(rng, t: int, ar_coef: float, sin_amp: float) -> np.ndarray:
+
+def _base_feature(rng, t: int) -> np.ndarray:
     e = rng.normal(size=t)
-    x = np.array(list(itertools.accumulate(e.tolist(), lambda a, b: ar_coef * a + b)))
+    x = np.array(list(itertools.accumulate(e.tolist(), lambda a, b: AR_COEF * a + b)))
     freq = rng.integers(1, max(t // 4, 2))
     phase = rng.uniform(0.0, 2.0 * math.pi)
-    x = x + sin_amp * math.sqrt(t) * np.sin(2.0 * math.pi * freq *
+    x = x + SIN_AMP * math.sqrt(t) * np.sin(2.0 * math.pi * freq *
                                             np.arange(t) / t + phase) / math.sqrt(t)
     x = x - x.mean()
     return x / max(x.std(), 1e-12)
@@ -41,8 +45,7 @@ def oracle_gen_lagged_series(spec: DatasetSpec) -> list:
     samples = []
     for idx in range(spec.n_samples):
         rng = np.random.default_rng([spec.seed, idx])
-        base = np.stack([_base_feature(rng, spec.t, spec.ar_coef, spec.sin_amp)
-                         for _ in range(spec.d)], axis=1)
+        base = np.stack([_base_feature(rng, spec.t) for _ in range(spec.d)], axis=1)
         label = None
         lags = [tuple(p) for p in spec.planted_lags]
         if spec.task == "classification":
@@ -108,7 +111,7 @@ class TestGeneration:
                            planted_lags=[(0, 1, 5, 0.8)], noise=0.1)
         a = gen_lagged_series(spec)
         b = gen_lagged_series(spec)
-        assert all(x == y for x, y in zip(a, b))
+        assert all(same_sample(x, y) for x, y in zip(a, b))
 
     def test_planted_lag_measurable(self):
         # unit coupling, no noise: cross-correlation of (src, dst) peaks at L
@@ -193,7 +196,8 @@ class TestAnomalies:
 
     def test_deterministic(self):
         s = self._sample(19)
-        assert inject_anomalies(s, 3, 5.0, seed=7) == inject_anomalies(s, 3, 5.0, seed=7)
+        assert same_sample(inject_anomalies(s, 3, 5.0, seed=7),
+                           inject_anomalies(s, 3, 5.0, seed=7))
 
     def test_count_too_large(self):
         with pytest.raises(Exception):
@@ -226,7 +230,7 @@ class TestFileFormat:
         write_dataset(path, samples, task=task)
         loaded, loaded_task = read_dataset(path)
         assert loaded_task == task
-        assert all(a == b for a, b in zip(samples, loaded))
+        assert all(same_sample(a, b) for a, b in zip(samples, loaded))
         assert len(loaded) == len(samples)
 
     def test_empty_dataset(self, tmp_path):
@@ -298,6 +302,23 @@ class TestFileFormat:
         samples[1] = replace(samples[1], **{field: entries})
         with pytest.raises(ValueError, match=match):
             write_dataset(tmp_path / "bad.train", samples, task="imputation")
+
+    def test_rejected_sample_leaves_no_file(self, tmp_path):
+        # every sample is checked before the file is opened: no partial file
+        # is left, and a file already at the path stays as it was
+        samples = [apply_mask(s, 0.25, seed=i) for i, s in enumerate(
+            gen_lagged_series(DatasetSpec(t=8, d=2, n_samples=3, seed=22)))]
+        mask = samples[1].mask.copy()
+        mask[0, 0] = 2
+        samples[1] = replace(samples[1], mask=mask)
+        path = tmp_path / "bad.train"
+        with pytest.raises(ValueError, match="sample 1: mask entry outside"):
+            write_dataset(path, samples, task="imputation")
+        assert not path.exists()
+        path.write_text("kept\n")
+        with pytest.raises(ValueError, match="sample 1: mask entry outside"):
+            write_dataset(path, samples, task="imputation")
+        assert path.read_text() == "kept\n"
 
     def test_truncated_sample(self, tmp_path):
         samples = self._dataset()

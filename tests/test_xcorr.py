@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lagattn.numerics import DegenerateSeriesError, ParameterError, ShapeError, roll
+from lagattn.numerics import DegenerateSeriesError, ParameterError, ShapeError
 from lagattn.xcorr import (
     lag_mass,
     score_lags,
@@ -20,7 +20,7 @@ def rand(shape, seed=0):
 def loop_reference(q, k):
     """Per-lag roll + matmul, the most literal form of the definition."""
     t = q.shape[0]
-    return np.stack([roll(k, l).T @ q for l in range(t)], axis=0)
+    return np.stack([np.roll(k, l, axis=0).T @ q for l in range(t)], axis=0)
 
 
 class TestNaive:
