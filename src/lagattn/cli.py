@@ -16,6 +16,8 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from . import model as M
 from . import synthdata as S
 from .model import RunConfig
@@ -231,24 +233,33 @@ def cmd_gen_data(args) -> int:
         noise=args.noise, seed=args.seed, n_classes=args.classes,
     )
     # synthdata rejects out-of-range flag values (a lag outside [1, T-1], a
-    # mask ratio outside (0, 1), ...): a usage error
+    # mask ratio outside (0, 1), ...): a usage error. So is a --noise or an
+    # --anomaly-magnitude that overflows a value, found below before any file
+    # is written; numpy's warnings on the way are silenced.
     try:
-        samples = S.gen_lagged_series(spec)
-        if args.task == "imputation":
-            samples = [S.apply_mask(s, args.mask_ratio, seed=args.seed * 100003 + i)
-                       for i, s in enumerate(samples)]
-        train, val, test = S.split_dataset(samples)
-        if not (train and val and test):
-            raise UsageError(f"--samples {args.samples} leaves a split empty "
-                             f"({len(train)}/{len(val)}/{len(test)} train/val/test)")
-        if args.task == "anomaly":
-            test = [S.inject_anomalies(s, args.anomaly_count, args.anomaly_magnitude,
-                                       seed=args.seed * 100003 + i)
-                    for i, s in enumerate(test)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = S.gen_lagged_series(spec)
+            if args.task == "imputation":
+                samples = [S.apply_mask(s, args.mask_ratio, seed=args.seed * 100003 + i)
+                           for i, s in enumerate(samples)]
+            train, val, test = S.split_dataset(samples)
+            if not (train and val and test):
+                raise UsageError(f"--samples {args.samples} leaves a split empty "
+                                 f"({len(train)}/{len(val)}/{len(test)} train/val/test)")
+            if args.task == "anomaly":
+                test = [S.inject_anomalies(s, args.anomaly_count, args.anomaly_magnitude,
+                                           seed=args.seed * 100003 + i)
+                        for i, s in enumerate(test)]
     except (S.DatasetSpecError, ParameterError) as exc:
         raise UsageError(str(exc)) from None
+    splits = (("train", train), ("val", val), ("test", test))
+    for name, part in splits:
+        for i, s in enumerate(part):
+            if not np.isfinite(s.values).all():
+                raise UsageError(f"sample {i} of the {name} split holds a non-finite "
+                                 "value: --noise or --anomaly-magnitude is too large")
     base = os.path.join(out_dir(), args.out)
-    for name, part in (("train", train), ("val", val), ("test", test)):
+    for name, part in splits:
         S.write_dataset(f"{base}.{name}", part, task=args.task)
     emit({"event": "gen-data", "out": base, "train": len(train),
           "val": len(val), "test": len(test)})
@@ -323,6 +334,17 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     data = load_data(args.data, scored_only=True)
     cfg = config_from_dict(read_config(args.checkpoint + ".config"))
+    # the model scores only data of its own task and width, and labels it has
+    # an output for
+    for what, ours, theirs in (("task", cfg.task, data.task),
+                               ("d_in", cfg.d_in, data.d_in)):
+        if ours != theirs:
+            raise M.CheckpointError(f"{args.checkpoint}: trained with {what} = {ours}, "
+                                    f"but {args.data} has {what} = {theirs}")
+    if data.task == "classification" and data.n_classes > cfg.n_classes:
+        raise M.CheckpointError(f"{args.checkpoint}: trained with n_classes = "
+                                f"{cfg.n_classes}, but {args.data} has the label "
+                                f"{data.n_classes - 1}")
     params = setup(cfg, data)
     M.load_into(params, args.checkpoint)
     emit({"event": "eval", "config_hash": cfg.config_hash(),

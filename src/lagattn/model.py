@@ -259,20 +259,23 @@ def _positional_encoding(t: int, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # forward / backward
 
-# What model_backward needs: the B x T x d input and its stationarization,
-# the (B T) x d_model encoder output, per block the mixture cache
-# (attention.MixCache), the layernorm caches and the feed-forward activations,
-# and the de-stationary projector caches (None without destat heads).
+# What model_backward needs: the B x T x d input, masked, and its
+# stationarization, the (B T) x d_model encoder output, per block the mixture
+# cache (attention.MixCache), the layernorm caches and the feed-forward
+# activations, and the de-stationary projector caches (None without destat
+# heads).
 ModelCache = namedtuple("ModelCache", "x xp stats hrep blocks destat")
 BlockCache = namedtuple("BlockCache", "attn ln1 r1 a1 ln2")
 
 
-def model_forward(x, params: dict, cfg: RunConfig):
-    """Full forward pass: stationarize, embed, encoder blocks, task head.
+def model_forward(x, params: dict, cfg: RunConfig, mask=None):
+    """Full forward pass: mask, stationarize, embed, encoder blocks, task head.
 
     ``x`` is a B x T x d chunk, or one T x d sample that runs as a chunk of
-    one and gets its prediction without the sample axis. Returns (prediction,
-    cache), the prediction per sample: for reconstruction tasks
+    one and gets its prediction without the sample axis. A ``mask`` of the
+    shape of ``x`` (imputation: True where observed) zeroes the hidden
+    entries of the input first; the cache keeps that masked input. Returns
+    (prediction, cache), the prediction per sample: for reconstruction tasks
     destationarized back to the input scale, for classification the logits
     over classes.
     """
@@ -280,6 +283,11 @@ def model_forward(x, params: dict, cfg: RunConfig):
     if x.ndim > 3 or x.shape[-1] != cfg.d_in:
         raise ShapeError(f"input of shape {x.shape}: expected T x {cfg.d_in} or "
                          f"B x T x {cfg.d_in}")
+    if mask is not None:
+        if np.shape(mask) != x.shape:
+            raise ShapeError(f"mask of shape {np.shape(mask)} for an input of "
+                             f"shape {x.shape}")
+        x = x * mask
     single = x.ndim == 2
     x = x[None] if single else x
     n, t, _ = x.shape
@@ -494,7 +502,7 @@ def _chunks(samples, cfg: RunConfig):
 def _chunk_loss(chunk, params: dict, cfg: RunConfig):
     """Forward and loss of one chunk: (per-sample losses, dpred, cache)."""
     x, target, mask, label = chunk
-    pred, cache = model_forward(x, params, cfg)
+    pred, cache = model_forward(x, params, cfg, mask)
     if cfg.task == "classification":
         losses, dpred = task_loss(pred, label, cfg.task)
     else:
@@ -655,7 +663,7 @@ def evaluate_metrics(samples, params: dict, cfg: RunConfig,
     if cfg.task == "imputation":
         se, ae, n = 0.0, 0.0, 0
         for x_in, target, mask, label in samples:
-            pred = model_forward(x_in, params, cfg)[0]
+            pred = model_forward(x_in, params, cfg, mask)[0]
             hidden = (np.asarray(mask) == 0)
             diff = (pred - target)[hidden]
             se += float((diff * diff).sum())

@@ -15,11 +15,18 @@ rounds as it does on one series alone, so the samples and the files written
 from them are byte-identical to those of the per-feature reference
 generator in tests/test_synthdata.py.
 
+An imputation mask is a T x d bool array, True where the entry is
+observed. No masked copy of the values is made here: an imputation sample's
+model input is its own values (``to_training_sample``), and the model zeroes
+the hidden entries itself (``model.model_forward``). A loaded imputation
+entry is held in 9 bytes, its float64 value and its mask.
+
 Datasets are text files. ``read_dataset`` reads a file one block at a time:
 it walks the sample headers and parses each T x d value or mask block with
 one numpy call, then checks the whole block at once (row width, finite
 values, mask entries in {0, 1}). Only a block that fails is parsed again
-line by line, to name its first bad line.
+line by line, to name its first bad line. A mask is parsed as integers, so
+that an entry outside {0, 1} is named, and kept as bool.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ class DatasetParseError(ValueError):
 @dataclass(eq=False)
 class SeriesSample:
     values: np.ndarray                 # T x d
-    mask: np.ndarray | None = None     # T x d of {0,1}; 1 = observed
+    mask: np.ndarray | None = None     # T x d bool; True = observed
     label: int | None = None
     anomaly_flags: np.ndarray | None = None   # length T of {0,1}
     planted_lags: list = field(default_factory=list)  # (src, dst, lag, weight)
@@ -195,8 +202,8 @@ def apply_mask(sample: SeriesSample, ratio: float, seed: int) -> SeriesSample:
                              f"{values.shape[0]} x {values.shape[1]} sample")
     rng = np.random.default_rng(seed)
     flat = rng.choice(n_total, size=n_masked, replace=False)
-    mask = np.ones(n_total, dtype=np.int64)
-    mask[flat] = 0
+    mask = np.ones(n_total, dtype=bool)
+    mask[flat] = False
     return replace(sample, mask=mask.reshape(values.shape))
 
 
@@ -230,12 +237,13 @@ def split_dataset(samples: list) -> tuple:
 
 
 def to_training_sample(sample: SeriesSample, task: str):
-    """(input, target, mask, label) tuple as consumed by the model layer."""
+    """(input, target, mask, label) tuple as consumed by the model layer. The
+    input of an imputation sample is its own values: the model hides the
+    masked entries itself (model.model_forward), so no masked copy is held."""
     if task == "imputation":
         if sample.mask is None:
             raise DegenerateMaskError("imputation sample has no mask")
-        x_in = sample.values * sample.mask
-        return (x_in, sample.values, sample.mask, None)
+        return (sample.values, sample.values, sample.mask, None)
     if task == "anomaly":
         return (sample.values, sample.values, None, sample.anomaly_flags)
     return (sample.values, None, None, sample.label)
@@ -415,7 +423,8 @@ def read_dataset(path) -> tuple:
                 planted.append((src, dst, lag, weight))
 
             values = read_block(t, np.float64, "values")
-            mask = read_block(t, np.int64, "mask", binary=True) if has_mask else None
+            mask = (read_block(t, np.int64, "mask", binary=True).astype(bool)
+                    if has_mask else None)
             flags = None
             if has_flags:
                 got = take(1)

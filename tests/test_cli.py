@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -56,6 +57,23 @@ class TestGenData:
         monkeypatch.setenv("LAGATTN_OUT", str(tmp_path))
         run_cli(gen_args("envtoy"))
         assert (tmp_path / "envtoy.train").exists()
+
+
+    @pytest.mark.parametrize("flags, where", [
+        (["--task", "anomaly", "--t", "8", "--d", "2", "--noise", "1e300"],
+         "sample 0 of the test split"),
+        (["--task", "imputation", "--t", "8", "--d", "2", "--samples", "10",
+          "--noise", "1e308"], "sample 1 of the train split"),
+    ], ids=["anomaly-spike", "imputation-noise"])
+    def test_overflowing_values_exit_usage(self, tmp_path, capsys, flags, where):
+        # every sample of the three splits is checked before a file is written
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["gen-data", *flags, "--out", str(tmp_path / "big")])
+        assert code == cli.EXIT_USAGE
+        assert f"{where} holds a non-finite value" in capsys.readouterr().err
+        assert not caught, [str(w.message) for w in caught]
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture()
@@ -260,6 +278,45 @@ def _nan_value(prefix):
     lines = open(path).read().splitlines()
     lines[4] = "nan," + lines[4].split(",", 1)[1]   # sample 0, first value
     open(path, "w").write("\n".join(lines) + "\n")
+
+
+class TestEvalMatchesCheckpoint:
+    """eval scores only data of the checkpoint's task and width, with labels
+    it has an output for; anything else exits 3 naming both values."""
+
+    def _checkpoint(self, tmp_path, task, d, extra=()):
+        data, ckpt = tmp_path / task, tmp_path / f"{task}.ckpt"
+        assert run_cli(gen_args(data, t=12, d=d, task=task, extra=extra)) == 0
+        assert run_cli(["train", "--data", str(data), *TRAIN_FAST,
+                        "--checkpoint", str(ckpt)]) == 0
+        return ckpt
+
+    @pytest.mark.parametrize("trained, data, match", [
+        (("imputation", 2, ()), ("classification", 2, ("--classes", "2")),
+         "trained with task = imputation, but .* has task = classification"),
+        (("imputation", 2, ()), ("imputation", 3, ()),
+         "trained with d_in = 2, but .* has d_in = 3"),
+        (("classification", 2, ("--classes", "2")),
+         ("classification", 2, ("--samples", "20", "--classes", "3")),
+         "trained with n_classes = 2, but .* has the label 2"),
+    ], ids=["task", "d_in", "label"])
+    def test_mismatch_exits_file(self, tmp_path, capsys, trained, data, match):
+        ckpt = self._checkpoint(tmp_path, *trained)
+        out = tmp_path / "other"
+        assert run_cli(gen_args(out, t=12, d=data[1], task=data[0], extra=data[2])) == 0
+        capsys.readouterr()
+        assert run_cli(["eval", "--data", str(out), "--checkpoint", str(ckpt)]) \
+            == cli.EXIT_FILE
+        captured = capsys.readouterr()
+        assert re.search(match, captured.err) and captured.out == ""
+
+    def test_fewer_labels_than_outputs_evaluates(self, tmp_path, capsys):
+        ckpt = self._checkpoint(tmp_path, "classification", 2,
+                                ("--samples", "20", "--classes", "3"))
+        out = tmp_path / "two"
+        assert run_cli(gen_args(out, t=12, d=2, task="classification",
+                                extra=("--classes", "2"))) == 0
+        assert run_cli(["eval", "--data", str(out), "--checkpoint", str(ckpt)]) == 0
 
 
 class TestTooLittleData:

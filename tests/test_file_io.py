@@ -132,7 +132,7 @@ def oracle_read_dataset(path) -> tuple:
             return np.array(block)
 
         values = read_block(t, float, "values")
-        mask = read_block(t, int, "mask") if has_mask else None
+        mask = read_block(t, int, "mask").astype(bool) if has_mask else None
         flags = None
         if has_flags:
             try:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lagattn import attention as A
+from lagattn import cli
 from lagattn import model as M
 from lagattn.numerics import sigmoid, softplus, zero_grads
 from lagattn.synthdata import (
@@ -105,6 +106,26 @@ class TestEncoderForward:
         a = encoder_output(x, M.init_params(cfg, seed=2), cfg)
         b = encoder_output(x, M.init_params(cfg, seed=2), cfg)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("temporal", ["self", "destat"])
+    def test_mask_matches_a_masked_copy(self, temporal):
+        # the model zeroes the hidden entries itself: bit for bit what a
+        # masked copy made outside it gives, for one sample and for a chunk
+        cfg = toy_config(temporal=temporal)
+        params = M.init_params(cfg, seed=0)
+        rng = np.random.default_rng(5)
+        x, mask = rng.normal(size=(3, 8, 3)), rng.random((3, 8, 3)) > 0.3
+        for values, hide in ((x[0], mask[0]), (x, mask)):
+            pred, cache = M.model_forward(values, params, cfg, hide)
+            want, want_cache = M.model_forward(values * hide, params, cfg)
+            assert np.array_equal(pred, want)
+            assert np.array_equal(cache.x, want_cache.x)
+
+    def test_wrong_mask_shape(self):
+        cfg = toy_config()
+        with pytest.raises(M.ShapeError):
+            M.model_forward(rand((8, 3), 9), M.init_params(cfg), cfg,
+                            np.ones((8, 2), dtype=bool))
 
     def test_wrong_feature_count(self):
         cfg = toy_config()
@@ -533,7 +554,7 @@ class TestMemory:
     """At the benchmark's long shape (T = 512, destat, classification) the
     forward caches hold no T x T array, no gather of the k + 1 lags and no
     all-lags stack, and one single-sample step stays under a fixed
-    allocation peak."""
+    allocation peak. Loaded imputation data takes about 9 bytes an entry."""
 
     T = 512
 
@@ -584,6 +605,25 @@ class TestMemory:
                 tracemalloc.stop()
         one, whole = peaks
         assert whole < 1.1 * one, (whole, one)
+
+    def test_imputation_data_nine_bytes_an_entry(self, tmp_path, capsys):
+        # load_data holds an imputation entry's value (8 bytes) and its bool
+        # mask (1): the model input is the values themselves, masked in the
+        # model (24 bytes an entry with an int64 mask and a masked copy)
+        prefix = str(tmp_path / "imp")
+        assert cli.main(["gen-data", "--task", "imputation", "--t", "96", "--d", "8",
+                         "--samples", "40", "--out", prefix]) == 0
+        cli.load_data(prefix)                               # warm up
+        tracemalloc.start()
+        try:
+            data = cli.load_data(prefix)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        entries = sum(x.size for split in (data.train, data.val, data.test)
+                      for x, *_ in split)
+        assert entries == 40 * 96 * 8
+        assert held <= 12 * entries, held / entries
 
     def test_cab_backward_peak_below_two_gathers(self):
         # every lag sum of the backward is one gather and one product, so no

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lagattn import model as M
 from lagattn.numerics import l2_normalize_cols
 from lagattn.synthdata import (
     AR_COEF,
@@ -171,6 +172,17 @@ class TestMasking:
         masked = apply_mask(base, 0.3, seed=3)
         assert np.array_equal(masked.values, base.values)
 
+    def test_bool_mask_survives_a_file(self, tmp_path):
+        # one byte per entry, in memory and after a round trip through a file
+        spec = DatasetSpec(t=24, d=3, n_samples=2, seed=17)
+        samples = [apply_mask(s, 0.3, seed=i)
+                   for i, s in enumerate(gen_lagged_series(spec))]
+        write_dataset(tmp_path / "m.train", samples)
+        loaded, _ = read_dataset(tmp_path / "m.train")
+        for a, b in zip(samples, loaded):
+            assert a.mask.dtype == b.mask.dtype == np.bool_
+            assert np.array_equal(a.mask, b.mask)
+
     def test_bad_ratio(self):
         spec = DatasetSpec(t=8, d=2, n_samples=1, seed=16)
         with pytest.raises(Exception):
@@ -308,7 +320,7 @@ class TestFileFormat:
         # is left, and a file already at the path stays as it was
         samples = [apply_mask(s, 0.25, seed=i) for i, s in enumerate(
             gen_lagged_series(DatasetSpec(t=8, d=2, n_samples=3, seed=22)))]
-        mask = samples[1].mask.copy()
+        mask = samples[1].mask.astype(np.int64)
         mask[0, 0] = 2
         samples[1] = replace(samples[1], mask=mask)
         path = tmp_path / "bad.train"
@@ -331,9 +343,20 @@ class TestFileFormat:
 
 
 class TestTrainingSamples:
-    def test_imputation_input_zeroed(self):
-        s = apply_mask(gen_lagged_series(DatasetSpec(t=8, d=2, n_samples=1,
-                                                     seed=22))[0], 0.5, seed=0)
+    def _sample(self):
+        return apply_mask(gen_lagged_series(DatasetSpec(t=8, d=2, n_samples=1,
+                                                        seed=22))[0], 0.5, seed=0)
+
+    def test_imputation_input_is_the_values(self):
+        # no masked copy is held: the model masks its input itself
+        s = self._sample()
         x_in, target, mask, label = to_training_sample(s, "imputation")
-        assert np.array_equal(x_in[mask == 0], np.zeros((mask == 0).sum()))
-        assert np.array_equal(x_in[mask == 1], target[mask == 1])
+        assert x_in is s.values and target is s.values and mask is s.mask
+
+    def test_imputation_input_zeroed(self):
+        # the input the model caches, and runs on, hides the masked entries
+        x_in, target, mask, label = to_training_sample(self._sample(), "imputation")
+        cfg = M.RunConfig(task="imputation", d_in=2, d_model=4, d_k=2, h=2, m=1)
+        x = M.model_forward(x_in, M.init_params(cfg), cfg, mask)[1].x[0]
+        assert np.array_equal(x[mask == 0], np.zeros((mask == 0).sum()))
+        assert np.array_equal(x[mask == 1], target[mask == 1])
