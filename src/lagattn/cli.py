@@ -33,8 +33,7 @@ ABLATION_PRESETS = {
     # all-correlated heads, no lag filtering, beta pinned to 0
     "pure": dict(m=0, filtering_enabled=False, beta_learnable=False, beta_init=0.0,
                  lambda_mode="fixed"),
-    "static": dict(lambda_mode="fixed", beta_learnable=False, lambda_init=0.5,
-                   beta_init=0.5),
+    "static": dict(lambda_mode="fixed", beta_learnable=False, beta_init=0.5),
     "lambda": dict(lambda_mode="learnable", beta_learnable=False, beta_init=0.5),
 }
 
@@ -42,7 +41,6 @@ ABLATION_PRESETS = {
 CHOICES = {
     "task": ("imputation", "anomaly", "classification"),
     "temporal": ("self", "destat"),
-    "positional": ("none", "sin"),
     "lag_path": ("fft", "naive"),
     "lambda_mode": ("fixed", "learnable"),
 }
@@ -75,19 +73,16 @@ def validate(cfg: RunConfig) -> RunConfig:
     for key in ("d_model", "d_k", "h", "c", "batch_size", "epochs"):
         if getattr(cfg, key) < 1:
             raise UsageError(f"{key}={getattr(cfg, key)} must be at least 1")
-    if cfg.seed < 0:
-        raise UsageError(f"seed={cfg.seed} must not be negative")
+    for key in ("n_blocks", "patience", "seed"):
+        if getattr(cfg, key) < 0:
+            raise UsageError(f"{key}={getattr(cfg, key)} must not be negative")
     if not 0 <= cfg.lr < math.inf:
         raise UsageError(f"lr={cfg.lr} must be finite and not negative")
-    if cfg.cab and not 0 <= cfg.m <= cfg.h:
+    if not 0 <= cfg.m <= cfg.h:
         raise UsageError(f"m={cfg.m} must lie in [0, h={cfg.h}]")
     if cfg.filtering_enabled and not 0.0 < cfg.beta_init < 1.0:
         raise UsageError(f"beta_init={cfg.beta_init} must lie in (0, 1) "
                          "while filtering is enabled")
-    if not 0.0 < cfg.lambda_init < 1.0:
-        raise UsageError(f"lambda_init={cfg.lambda_init} must lie in (0, 1)")
-    if not 0.0 < cfg.tau_init < math.inf:
-        raise UsageError(f"tau_init={cfg.tau_init} must be positive and finite")
     return cfg
 
 
@@ -119,22 +114,31 @@ def read_config(path) -> dict:
     return values
 
 
+def _parse_value(key: str, raw: str, like):
+    """``raw`` read as a value of the type of ``like``."""
+    try:
+        if isinstance(like, bool):
+            return BOOLEANS[raw]
+        return type(like)(raw)
+    except (KeyError, ValueError):
+        raise UsageError(f"config key {key!r}: bad value {raw!r}") from None
+
+
 def config_from_dict(values: dict) -> RunConfig:
+    """A removed key (M.REMOVED_FIELDS) is accepted at its old value only,
+    and dropped."""
     cfg = RunConfig()
     defaults = asdict(cfg)
     for key, raw in values.items():
-        if key not in defaults:
+        if key in defaults:
+            setattr(cfg, key, _parse_value(key, raw, defaults[key]))
+        elif key in M.REMOVED_FIELDS:
+            legacy = M.REMOVED_FIELDS[key]
+            if _parse_value(key, raw, legacy) != legacy:
+                raise UsageError(f"config key {key!r} was removed: it may only "
+                                 f"hold its old value {legacy}, not {raw!r}")
+        else:
             raise UsageError(f"unknown config key {key!r}")
-        cur = defaults[key]
-        try:
-            if isinstance(cur, bool):
-                setattr(cfg, key, BOOLEANS[raw])
-            elif isinstance(cur, (int, float)):
-                setattr(cfg, key, type(cur)(raw))
-            else:
-                setattr(cfg, key, raw)
-        except (KeyError, ValueError):
-            raise UsageError(f"config key {key!r}: bad value {raw!r}") from None
     return cfg
 
 
@@ -272,13 +276,11 @@ def build_run_config(args, data: Data) -> RunConfig:
     values = read_config(args.config) if args.config else {}
     cfg = config_from_dict(values)
     for key in ("d_model", "d_k", "h", "m", "n_blocks", "c", "temporal",
-                "positional", "lag_path", "ablation", "lr", "batch_size",
-                "epochs", "patience", "seed"):
+                "lag_path", "ablation", "lr", "batch_size", "epochs", "patience",
+                "seed"):
         val = getattr(args, key)
         if val is not None:
             setattr(cfg, key, val)
-    if args.cab is not None:
-        cfg.cab = args.cab == "on"
     if data.task == "anomaly" and args.batch_size is None and "batch_size" not in values:
         cfg.batch_size = 128
     if data.task == "classification":
@@ -392,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--model", choices=("transformer", "nonstationary"),
                        default=None)
-        p.add_argument("--cab", choices=("on", "off"), default=None)
         p.add_argument("--d-model", dest="d_model", type=int, default=None)
         p.add_argument("--d-k", dest="d_k", type=int, default=None)
         p.add_argument("--h", type=int, default=None)
@@ -400,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--blocks", dest="n_blocks", type=int, default=None)
         p.add_argument("--c", type=int, default=None)
         p.add_argument("--temporal", choices=CHOICES["temporal"], default=None)
-        p.add_argument("--positional", choices=CHOICES["positional"], default=None)
         p.add_argument("--lag-path", dest="lag_path", choices=CHOICES["lag_path"],
                        default=None)
         p.add_argument("--lr", type=float, default=None)

@@ -3,8 +3,10 @@
 Forward and backward run on a chunk of B samples at once (B x T x d
 float64, time-major per sample): the rows of every sample go through each
 dense layer as one (B T) x d matrix, and each block's attention folds the
-samples into its head stacks. A batch runs in chunks of at most
-``chunk_size`` samples and averages the per-sample losses and gradients.
+samples into its head stacks. Heads 0..m-1 of a block are temporal and the
+rest correlated (CAB); m = h is the base Transformer the paper starts from.
+A batch runs in chunks of at most ``chunk_size`` samples and averages the
+per-sample losses and gradients.
 All learnable tensors live in a flat registry (name -> Param) so the
 optimizer, the checkpoint and a finite-difference check can treat the whole
 model uniformly.
@@ -57,12 +59,6 @@ def sigmoid_inv(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
-def softplus_inv(t: float) -> float:
-    if not t > 0.0:
-        raise ParameterError(f"value {t} not positive")
-    return math.log(math.expm1(t))
-
-
 # ---------------------------------------------------------------------------
 # stationarization
 
@@ -101,23 +97,23 @@ def destationarize(xp, stats: StationaryStats):
 @dataclass
 class RunConfig:
     """Every knob of a run, model and training alike; defaults follow the
-    reference regime (tau = 1, lambda = beta = 1/2, h = 16, m = 8, 30 epochs,
-    patience 10, batch 16, or 128 for anomaly detection)."""
+    reference regime (beta = 1/2, h = 16, m = 8, 30 epochs, patience 10,
+    batch 16, or 128 for anomaly detection). Every correlated head starts at
+    tau = 1 and lambda = 1/2 (attention.CAB_RAW), tau learnable."""
 
     task: str = "imputation"            # imputation | anomaly | classification
     d_in: int = 8
     d_model: int = 16
     d_k: int = 8
     h: int = 16
-    m: int = 8                          # heads 1..m temporal, rest correlated
+    m: int = 8                          # heads 0..m-1 temporal, rest correlated;
+                                        # m = h is the base model, without CAB
     n_blocks: int = 1
     n_classes: int = 2
     c: int = 1
     temporal: str = "self"              # self | destat
-    positional: str = "none"            # none | sin
     lag_path: str = "fft"               # fft | naive
     ablation: str = "baseline"
-    cab: bool = True                    # off => every head temporal
     lr: float = 1e-3
     batch_size: int = 16
     epochs: int = 30
@@ -125,20 +121,12 @@ class RunConfig:
     seed: int = 0
     lambda_mode: str = "fixed"          # fixed | learnable (soft-score extension)
     beta_learnable: bool = True
-    tau_learnable: bool = True
-    lambda_init: float = 0.5
     beta_init: float = 0.5              # decoded only when filtering is on
-    tau_init: float = 1.0
     filtering_enabled: bool = True      # off => instantaneous-only, beta = 0
 
     def config_hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True)
+        blob = json.dumps({**REMOVED_FIELDS, **asdict(self)}, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    @property
-    def n_temporal(self) -> int:
-        """Heads 0..n_temporal-1 are temporal, the rest correlated."""
-        return self.m if self.cab else self.h
 
     @property
     def d_ff(self) -> int:
@@ -149,16 +137,28 @@ class RunConfig:
         return self.n_classes if self.task == "classification" else self.d_in
 
 
+# Fields RunConfig no longer has, each at the value every config that can
+# still be expressed had: config_hash hashes them beside the fields, so such
+# a config keeps its hash, and a config file may still name one at that
+# value only (cli.config_from_dict).
+REMOVED_FIELDS = {
+    "cab": True,                # the base model is m = h: every head temporal
+    "positional": "none",
+    "tau_init": 1.0,            # tau starts at softplus(CAB_RAW["tau_raw"]) = 1
+    "tau_learnable": True,
+    "lambda_init": 0.5,         # lambda starts at sigmoid(CAB_RAW["lambda_raw"]) = 1/2
+}
+
+
 def _cab_scalars(cfg: RunConfig) -> dict:
-    """Raw scalar name -> (value decoded from its init, learnable?) for every
-    correlated head. A learnable scalar gets one registry entry per block,
-    an array of one value per correlated head; the rest stay at the decoded
-    value."""
+    """Raw scalar name -> (initial value, learnable?) for every correlated
+    head. A learnable scalar gets one registry entry per block, an array of
+    one value per correlated head; the rest stay at their initial value."""
     return {
         "beta_raw": (sigmoid_inv(cfg.beta_init) if cfg.filtering_enabled else 0.0,
                      cfg.filtering_enabled and cfg.beta_learnable),
-        "tau_raw": (softplus_inv(cfg.tau_init), cfg.tau_learnable),
-        "lambda_raw": (sigmoid_inv(cfg.lambda_init), cfg.lambda_mode == "learnable"),
+        "tau_raw": (CAB_RAW["tau_raw"], True),
+        "lambda_raw": (CAB_RAW["lambda_raw"], cfg.lambda_mode == "learnable"),
     }
 
 
@@ -172,7 +172,7 @@ def init_params(cfg: RunConfig, seed: int = 0) -> dict:
         params[name] = Param(name, rng.normal(0.0, 1.0 / math.sqrt(rows), (rows, cols)))
 
     params: dict = {}
-    n_corr = cfg.h - cfg.n_temporal
+    n_corr = cfg.h - cfg.m
     mat("embed.w", cfg.d_in, cfg.d_model)
     for b in range(cfg.n_blocks):
         # the same numbers as drawing W_q, W_k, W_v of head 0, then of head
@@ -192,7 +192,7 @@ def init_params(cfg: RunConfig, seed: int = 0) -> dict:
         params[f"block{b}.ff.b1"] = Param(f"block{b}.ff.b1", np.zeros(cfg.d_ff))
         mat(f"block{b}.ff.w2", cfg.d_ff, cfg.d_model)
         params[f"block{b}.ff.b2"] = Param(f"block{b}.ff.b2", np.zeros(cfg.d_model))
-    if cfg.temporal == "destat" and cfg.n_temporal > 0:
+    if cfg.temporal == "destat" and cfg.m > 0:
         hidden = 2 * cfg.d_model
         mat("destat.xi.w1", 2 * cfg.d_in, hidden)
         params["destat.xi.b1"] = Param("destat.xi.b1", np.zeros(hidden))
@@ -248,14 +248,6 @@ def _mlp2_bwd(cache, g):
     return dx, dw1, db1, dw2, db2
 
 
-def _positional_encoding(t: int, d: int) -> np.ndarray:
-    pos = np.arange(t)[:, None]
-    i = np.arange(d)[None, :]
-    angles = pos / np.power(10000.0, (2 * (i // 2)) / d)
-    pe = np.where(i % 2 == 0, np.sin(angles), np.cos(angles))
-    return pe
-
-
 # ---------------------------------------------------------------------------
 # forward / backward
 
@@ -295,7 +287,7 @@ def model_forward(x, params: dict, cfg: RunConfig, mask=None):
 
     xi = delta = None
     destat_caches = None
-    if cfg.temporal == "destat" and cfg.n_temporal > 0:
+    if cfg.temporal == "destat" and cfg.m > 0:
         stats_vec = np.concatenate([stats.mu, stats.sigma], axis=1)
         xi_pre, xi_cache = _mlp2_fwd(stats_vec, params["destat.xi.w1"].value,
                                      params["destat.xi.b1"].value,
@@ -312,8 +304,6 @@ def model_forward(x, params: dict, cfg: RunConfig, mask=None):
 
     # every dense layer acts on the rows of all samples at once
     hrep = xp.reshape(n * t, -1) @ params["embed.w"].value
-    if cfg.positional == "sin":
-        hrep = hrep + np.tile(_positional_encoding(t, cfg.d_model), (n, 1))
 
     scalars = _cab_scalars(cfg)
     cab = CabOptions(c=cfg.c, use_fft=cfg.lag_path == "fft",
@@ -324,7 +314,7 @@ def model_forward(x, params: dict, cfg: RunConfig, mask=None):
         raw = {name: params[f"block{b}.{name}"].value if f"block{b}.{name}" in params
                else fixed for name, (fixed, _) in scalars.items()}
         mix = MixtureWeights(params[f"block{b}.w_qkv"].value,
-                             params[f"block{b}.w_o"].value, cfg.n_temporal,
+                             params[f"block{b}.w_o"].value, cfg.m,
                              cfg.temporal, raw, xi, delta, cab)
         try:
             attn_out, attn_cache = mixture_of_head_fwd(hrep.reshape(n, t, -1), mix)
@@ -332,7 +322,7 @@ def model_forward(x, params: dict, cfg: RunConfig, mask=None):
             # every sample repeats the heads' scalars, so the first matrix out
             # of range belongs to the first sample
             name = ("destat.xi" if exc.head is None
-                    else f"block{b}.head{cfg.n_temporal + exc.head}.{exc.name}")
+                    else f"block{b}.head{cfg.m + exc.head}.{exc.name}")
             raise ParameterError(f"{name}: {exc}") from exc
         r1, ln1_cache = _layernorm_fwd(hrep + attn_out.reshape(n * t, -1),
                                        params[f"block{b}.ln1.gain"].value,
@@ -479,9 +469,8 @@ CHUNK_DOUBLES = 2 ** 17
 
 def chunk_size(cfg: RunConfig, t: int) -> int:
     """Samples of length ``t`` per chunk."""
-    m = cfg.n_temporal
     k = topk_count(cfg.c, t) if cfg.filtering_enabled else 0
-    per_sample = m * t * t + 2 * (cfg.h - m) * t * (k + 1) * cfg.d_k
+    per_sample = cfg.m * t * t + 2 * (cfg.h - cfg.m) * t * (k + 1) * cfg.d_k
     return max(1, CHUNK_DOUBLES // per_sample)
 
 
@@ -649,40 +638,38 @@ def evaluate_metrics(samples, params: dict, cfg: RunConfig,
                      val_samples=None, threshold_quantile: float = 0.99) -> dict:
     """Per-task test metrics: MSE+MAE, P/R/F1, or accuracy.
 
-    Scores one sample at a time, each through its own input array: a trace
-    that follows samples (the benchmark's planted-lag recall) finds a sample
-    by that array. Only the prediction is kept, so no sample's cache is alive
-    during the next sample's forward.
+    One loop scores the samples one at a time, each through its own input
+    array: a trace that follows samples (the benchmark's planted-lag recall)
+    finds a sample by that array. It keeps only the predictions, so no
+    sample's cache is alive during the next sample's forward; the task's
+    reduction runs on them afterwards.
     """
+    def predict(sset):
+        return [(model_forward(x_in, params, cfg, mask)[0], target, mask, label)
+                for x_in, target, mask, label in sset]
+
+    scored = predict(samples)
     if cfg.task == "classification":
-        correct = 0
-        for x_in, target, mask, label in samples:
-            pred = model_forward(x_in, params, cfg)[0]
-            correct += int(np.argmax(pred) == int(label))
-        return {"accuracy": correct / max(len(samples), 1)}
+        correct = sum(int(np.argmax(pred) == int(label)) for pred, _, _, label in scored)
+        return {"accuracy": correct / max(len(scored), 1)}
     if cfg.task == "imputation":
         se, ae, n = 0.0, 0.0, 0
-        for x_in, target, mask, label in samples:
-            pred = model_forward(x_in, params, cfg, mask)[0]
-            hidden = (np.asarray(mask) == 0)
-            diff = (pred - target)[hidden]
+        for pred, target, mask, _ in scored:
+            diff = (pred - target)[~mask]
             se += float((diff * diff).sum())
             ae += float(np.abs(diff).sum())
             n += diff.size
         return {"mse": se / max(n, 1), "mae": ae / max(n, 1)}
-    # anomaly: per-time-step reconstruction error, quantile threshold
-    def step_errors(sset):
-        errs, flags = [], []
-        for x_in, target, mask, label in sset:
-            pred = model_forward(x_in, params, cfg)[0]
-            errs.append(((pred - target) ** 2).mean(axis=1))
-            flags.append(np.asarray(label if label is not None else
-                                    np.zeros(pred.shape[0])))
-        return np.concatenate(errs), np.concatenate(flags)
 
-    test_errs, test_truth = step_errors(samples)
-    val_errs = step_errors(val_samples)[0] if val_samples else None
-    dec = anomaly_decision(test_errs, test_truth, threshold_quantile, val_errs)
+    # anomaly: per-time-step reconstruction error, quantile threshold
+    def step_errors(rows):
+        return np.concatenate([((pred - target) ** 2).mean(axis=1)
+                               for pred, target, _, _ in rows])
+
+    truth = np.concatenate([np.zeros(len(pred)) if label is None else label
+                            for pred, _, _, label in scored])
+    val_errs = step_errors(predict(val_samples)) if val_samples else None
+    dec = anomaly_decision(step_errors(scored), truth, threshold_quantile, val_errs)
     return {"precision": dec["precision"], "recall": dec["recall"], "f1": dec["f1"],
             "threshold": dec["threshold"], "degenerate": dec["degenerate"]}
 

@@ -269,8 +269,9 @@ def test_c7_ablation_harness(report, tmp_path, capsys):
             and len(betas) == pure.h and all(b == 0.0 for b in betas)):
         ok, detail = False, detail + ["pure"]
     static = cli.apply_ablation(cli.RunConfig(ablation="static"))
+    lams = list(block0_attention(static)[1].lam)   # lambda as the CAB forward used it
     if not (static.lambda_mode == "fixed" and not static.beta_learnable
-            and static.lambda_init == 0.5 and static.beta_init == 0.5):
+            and all(lam == 0.5 for lam in lams) and static.beta_init == 0.5):
         ok, detail = False, detail + ["static"]
     lam = cli.apply_ablation(cli.RunConfig(ablation="lambda"))
     if not (lam.lambda_mode == "learnable" and not lam.beta_learnable):

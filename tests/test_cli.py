@@ -103,12 +103,12 @@ class TestTrainEval:
         assert len(epochs) == 2
 
     def test_cab_on_off_both_run(self, toy_dataset, tmp_path, capsys):
-        for cab in ("on", "off"):
-            code = run_cli(["train", "--data", str(toy_dataset), "--cab", cab,
-                            *TRAIN_FAST,
-                            "--metrics", str(tmp_path / f"m_{cab}.jsonl")])
+        # with CAB (m < h) and without it: the base model, every head temporal
+        for m in ("1", "2"):
+            code = run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST,
+                            "--m", m, "--metrics", str(tmp_path / f"m_{m}.jsonl")])
             assert code == 0
-            summary = json.loads((tmp_path / f"m_{cab}.jsonl")
+            summary = json.loads((tmp_path / f"m_{m}.jsonl")
                                  .read_text().splitlines()[-1])
             assert "mse" in summary and "mae" in summary
 
@@ -433,9 +433,10 @@ class TestAblationPresets:
     def test_static_preset(self):
         cfg = self._cfg("static")
         assert cfg.lambda_mode == "fixed" and not cfg.beta_learnable
-        assert cfg.lambda_init == 0.5 and cfg.beta_init == 0.5
-        lam, beta = self._correlated_heads(cfg)[2][0]
-        assert abs(lam - 0.5) < 1e-15 and abs(beta - 0.5) < 1e-15
+        assert cfg.beta_init == 0.5
+        params, _, scalars = self._correlated_heads(cfg)
+        assert all(lam == 0.5 and abs(beta - 0.5) < 1e-15 for lam, beta in scalars)
+        assert "block0.lambda_raw" not in params
 
     def test_lambda_preset(self):
         cfg = self._cfg("lambda")
@@ -531,11 +532,13 @@ class TestRunConfig:
         (["--model", "transformer", "--temporal", "destat"], None, cli.EXIT_USAGE),
         (["--model", "nonstationary", "--temporal", "destat"], None, 0),
         (["--lr", "1e9"], None, cli.EXIT_NUMERICAL),  # tau collapses to 0
+        (["--blocks", "-1"], None, cli.EXIT_USAGE),
+        (["--patience", "-3"], None, cli.EXIT_USAGE),
     ], ids=["m>h", "non-numeric", "beta_init", "beta_init-pure", "lambda_init",
             "tau_init", "temporal", "epochs", "batch", "d_k", "lr", "lr-nan", "lr-inf",
             "tau_init-inf", "d_ff",
             "bool", "nonstationary-self", "transformer-destat",
-            "nonstationary-destat", "lr-huge"])
+            "nonstationary-destat", "lr-huge", "blocks", "patience"])
     def test_config_errors_exit_usage(self, toy_dataset, tmp_path, capsys,
                                       flags, file_text, code):
         config = []
@@ -556,7 +559,7 @@ class TestRunConfig:
         # exit 4 is for a non-finite loss or a scalar out of its range; a run
         # that diverges but stays finite exits 0 and its records show it
         assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST,
-                        "--lr", "1e9", "--cab", "off"]) == 0
+                        "--lr", "1e9", "--m", "2"]) == 0
 
         def reject(token):
             raise ValueError(f"non-finite JSON constant {token}")
@@ -708,3 +711,45 @@ class TestConfigCompatibility:
         out = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert out["mse"] == trained["mse"]
         assert out["config_hash"] != trained["config_hash"]
+
+
+class TestRemovedFields:
+    """Keys RunConfig dropped (M.REMOVED_FIELDS): a config file may name one
+    at its old value only, and no flag sets one."""
+
+    def test_config_file_holds_current_keys(self, tmp_path):
+        cli.write_config(tmp_path / "run.cfg", cli.RunConfig())
+        keys = cli.read_config(tmp_path / "run.cfg")
+        assert len(keys) == 21
+        assert not set(keys) & set(M.REMOVED_FIELDS)
+
+    def test_old_value_accepted_in_any_spelling(self):
+        cfg = cli.config_from_dict({"cab": "on", "positional": "none", "tau_init": "1",
+                                    "tau_learnable": "true", "lambda_init": "0.50"})
+        assert cfg == cli.RunConfig()
+
+    @pytest.mark.parametrize("line", [
+        "cab = False", "positional = sin", "tau_init = 2.0", "tau_learnable = False",
+        "lambda_init = 0.3", "tau_init = nan", "cab = maybe",
+    ], ids=["cab", "positional", "tau_init", "tau_learnable", "lambda_init",
+            "tau_init-nan", "cab-not-bool"])
+    def test_eval_rejects_other_value(self, toy_dataset, tmp_path, capsys, line):
+        ckpt = tmp_path / "model.ckpt"
+        assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST,
+                        "--checkpoint", str(ckpt)]) == 0
+        key = line.split(" = ")[0]
+        (tmp_path / "model.ckpt.config").write_text(
+            (tmp_path / "model.ckpt.config").read_text() + line + "\n")
+        capsys.readouterr()
+        assert run_cli(["eval", "--data", str(toy_dataset),
+                        "--checkpoint", str(ckpt)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"config key {key!r}" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("flag", [["--cab", "off"], ["--cab", "on"],
+                                      ["--positional", "sin"]],
+                             ids=["cab-off", "cab-on", "positional-sin"])
+    def test_removed_flags_exit_usage(self, toy_dataset, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--data", str(toy_dataset), *TRAIN_FAST, *flag])
+        assert exc.value.code == cli.EXIT_USAGE

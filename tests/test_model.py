@@ -165,7 +165,7 @@ class TestHeadStacks:
 def loop_attention_fwd(x, params, cfg, b, xi, delta, cab):
     """Block b's attention on one T x d_model sample, one head at a time on
     the one-head mechanisms; head i reads its slices of the stacked weights."""
-    w, m = params[f"block{b}.w_qkv"].value, cfg.n_temporal
+    w, m = params[f"block{b}.w_qkv"].value, cfg.m
     raw = {name: params[f"block{b}.{name}"].value if f"block{b}.{name}" in params
            else np.full(cfg.h - m, fixed) for name, (fixed, _) in M._cab_scalars(cfg).items()}
     outs, caches = [], []
@@ -190,7 +190,7 @@ def loop_attention_bwd(g, cache, params, grads, cfg, b):
     """Returns (dx, dxi, ddelta) of one sample's block-b attention and adds
     its weight and CAB scalar gradients into ``grads``, head by head."""
     x, concat, caches = cache
-    w, m, d_k = params[f"block{b}.w_qkv"].value, cfg.n_temporal, cfg.d_k
+    w, m, d_k = params[f"block{b}.w_qkv"].value, cfg.m, cfg.d_k
     grads[f"block{b}.w_o"] += concat.T @ g
     dconcat = g @ params[f"block{b}.w_o"].value.T
     dx, dxi, ddelta = np.zeros_like(x), 0.0, np.zeros(x.shape[0])
@@ -217,7 +217,7 @@ def loop_forward(x, params, cfg):
     t = x.shape[0]
     xp, stats = M.stationarize(x)
     xi, delta, destat = 1.0, np.zeros(t), None
-    if cfg.temporal == "destat" and cfg.n_temporal > 0:
+    if cfg.temporal == "destat" and cfg.m > 0:
         stats_vec = np.concatenate([stats.mu, stats.sigma])[None, :]
         xi_pre, xi_cache = M._mlp2_fwd(stats_vec, *(params[f"destat.xi.{n}"].value
                                                      for n in ("w1", "b1", "w2", "b2")))
@@ -227,8 +227,6 @@ def loop_forward(x, params, cfg):
         delta = delta_out[:, 0]
         destat = (xi_pre[0, 0], xi_cache, delta_cache)
     hrep = xp @ params["embed.w"].value
-    if cfg.positional == "sin":
-        hrep = hrep + M._positional_encoding(t, cfg.d_model)
     cab = A.CabOptions(c=cfg.c, use_fft=cfg.lag_path == "fft",
                        filtering=cfg.filtering_enabled, soft=cfg.lambda_mode == "learnable")
     blocks = []
@@ -334,9 +332,8 @@ CHUNK_CASES = {
                                   temporal="destat"),
     "filtering-off": dict(filtering_enabled=False, beta_learnable=False),
     "soft": dict(lambda_mode="learnable"),
-    "sin": dict(positional="sin"),
     "two-blocks": dict(n_blocks=2, temporal="destat", lambda_mode="learnable"),
-    "cab-off": dict(cab=False, temporal="destat"),
+    "cab-off": dict(m=4, temporal="destat"),           # m = h: the base model
 }
 
 
@@ -352,7 +349,7 @@ class TestChunks:
 
     @pytest.mark.parametrize("case", list(CHUNK_CASES))
     def test_chunk_matches_per_sample(self, case):
-        cfg = toy_config(h=4, m=2, **CHUNK_CASES[case])
+        cfg = toy_config(**{"h": 4, "m": 2, **CHUNK_CASES[case]})
         params = M.init_params(cfg, seed=11)
         batch = chunk_batch(cfg.task)
         assert M.chunk_size(cfg, 12) >= len(batch)      # one chunk
