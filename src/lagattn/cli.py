@@ -9,6 +9,7 @@ directory.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -192,7 +193,7 @@ def load_data(prefix: str, scored_only: bool = False) -> Data:
         if d != d_first:
             raise S.DatasetParseError(f"{prefix}.{name}: the {name} split has d = {d} "
                                       f"features, the {first} split {d_first}")
-        # a split's samples are stacked into chunks: each carries the entry
+        # a split's samples are joined into chunks: each carries the entry
         # its task reads, and all carry anomaly flags or none does
         for i, s in enumerate(samples):
             if entry and getattr(s, entry) is None:
@@ -208,10 +209,9 @@ def load_data(prefix: str, scored_only: bool = False) -> Data:
             raise S.DatasetParseError(f"{prefix}.{name}: no sample hides an entry")
     read = {name: [S.to_training_sample(s, task) for s in samples]
             for name, (samples, _) in splits.items()}
-    everything = [s for samples in read.values() for s in samples]
-    n_classes = (1 + max(int(s[3]) for s in everything)
+    n_classes = (1 + max(s.label for samples, _ in splits.values() for s in samples)
                  if task == "classification" else 0)
-    return Data(task, everything[0][0].shape[1], n_classes, read.get("train", []),
+    return Data(task, read["test"][0][0].shape[-1], n_classes, read.get("train", []),
                 read.get("val", []), read["test"])
 
 
@@ -275,10 +275,8 @@ def build_run_config(args, data: Data) -> RunConfig:
     preset; the number of classes comes from the training data."""
     values = read_config(args.config) if args.config else {}
     cfg = config_from_dict(values)
-    for key in ("d_model", "d_k", "h", "m", "n_blocks", "c", "temporal",
-                "lag_path", "ablation", "lr", "batch_size", "epochs", "patience",
-                "seed"):
-        val = getattr(args, key)
+    for key in asdict(cfg):
+        val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
     if data.task == "anomaly" and args.batch_size is None and "batch_size" not in values:
@@ -440,6 +438,14 @@ def _model_flag_to_temporal(args) -> None:
 
 
 def main(argv=None) -> int:
+    # glibc hands freed heap above a dynamic threshold back to the system, so a
+    # standalone train faults each batch's temporaries in again (97,700 minor
+    # faults at the benchmark's ref shape, 6,200 with this): keep up to 256 MB
+    # free (M_TRIM_THRESHOLD, -1) and serve up to 32 MB (M_MMAP_THRESHOLD, -3)
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(-1, 256 << 20)
+        mallopt(-3, 32 << 20)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -5,8 +5,9 @@ float64, time-major per sample): the rows of every sample go through each
 dense layer as one (B T) x d matrix, and each block's attention folds the
 samples into its head stacks. Heads 0..m-1 of a block are temporal and the
 rest correlated (CAB); m = h is the base Transformer the paper starts from.
-A batch runs in chunks of at most ``chunk_size`` samples and averages the
-per-sample losses and gradients.
+A loaded sample is a chunk of one (synthdata.to_training_sample), the only
+input form; a batch joins them into chunks of at most ``chunk_size``
+samples and averages the per-sample losses and gradients.
 All learnable tensors live in a flat registry (name -> Param) so the
 optimizer, the checkpoint and a finite-difference check can treat the whole
 model uniformly.
@@ -263,25 +264,21 @@ BlockCache = namedtuple("BlockCache", "attn ln1 r1 a1 ln2")
 def model_forward(x, params: dict, cfg: RunConfig, mask=None):
     """Full forward pass: mask, stationarize, embed, encoder blocks, task head.
 
-    ``x`` is a B x T x d chunk, or one T x d sample that runs as a chunk of
-    one and gets its prediction without the sample axis. A ``mask`` of the
-    shape of ``x`` (imputation: True where observed) zeroes the hidden
+    ``x`` is a B x T x d chunk; one sample is a chunk of one. A ``mask`` of
+    the shape of ``x`` (imputation: True where observed) zeroes the hidden
     entries of the input first; the cache keeps that masked input. Returns
     (prediction, cache), the prediction per sample: for reconstruction tasks
     destationarized back to the input scale, for classification the logits
     over classes.
     """
     x = as_matrix(x)
-    if x.ndim > 3 or x.shape[-1] != cfg.d_in:
-        raise ShapeError(f"input of shape {x.shape}: expected T x {cfg.d_in} or "
-                         f"B x T x {cfg.d_in}")
+    if x.ndim != 3 or x.shape[-1] != cfg.d_in:
+        raise ShapeError(f"input of shape {x.shape}: expected B x T x {cfg.d_in}")
     if mask is not None:
         if np.shape(mask) != x.shape:
             raise ShapeError(f"mask of shape {np.shape(mask)} for an input of "
                              f"shape {x.shape}")
         x = x * mask
-    single = x.ndim == 2
-    x = x[None] if single else x
     n, t, _ = x.shape
     xp, stats = stationarize(x)
 
@@ -343,7 +340,7 @@ def model_forward(x, params: dict, cfg: RunConfig, mask=None):
         recon_p = hrep @ params["head.w"].value + params["head.b"].value
         pred = destationarize(recon_p.reshape(n, t, -1), stats)
     cache = ModelCache(x, xp, stats, hrep, block_caches, destat_caches)
-    return (pred[0] if single else pred), cache
+    return pred, cache
 
 
 def model_backward(dpred, cache, params: dict, cfg: RunConfig):
@@ -415,55 +412,55 @@ def model_backward(dpred, cache, params: dict, cfg: RunConfig):
 
 
 def task_loss(pred, target, task: str, mask=None):
-    """Returns (loss, dpred) for one sample, or for a chunk (leading axis B):
-    then ``loss`` holds one value per sample.
+    """Returns (loss, dpred) for a chunk of B samples, ``loss`` one value per
+    sample: B x T x d predictions against their targets, or B x n_classes
+    logits against B labels.
 
     imputation: MSE over the hidden entries (mask == 0) of each sample only;
     anomaly: MSE over all entries; classification: cross-entropy on logits.
     """
     if task == "classification":
-        logits = np.asarray(pred, dtype=np.float64)
+        z = np.asarray(pred, dtype=np.float64)
         labels = np.asarray(target).astype(int)
-        rows, cols = np.arange(labels.size), labels.reshape(-1)
-        z = logits.reshape(labels.size, -1)
+        if z.ndim != 2 or labels.shape != z.shape[:1]:
+            raise ShapeError(f"logits {z.shape} vs labels {labels.shape}")
+        rows = np.arange(labels.size)
         z = z - z.max(axis=1, keepdims=True)
         p = np.exp(z)
         p /= p.sum(axis=1, keepdims=True)
-        loss = -np.log(np.maximum(p[rows, cols], 1e-300))
-        p[rows, cols] -= 1.0
-        return loss.reshape(labels.shape)[()], p.reshape(logits.shape)
-    pred = as_matrix(pred)
-    target = as_matrix(target)
-    if pred.shape != target.shape:
-        raise ShapeError(f"prediction {pred.shape} vs target {target.shape}")
+        loss = -np.log(np.maximum(p[rows, labels], 1e-300))
+        p[rows, labels] -= 1.0
+        return loss, p
+    pred, target = as_matrix(pred), as_matrix(target)
+    if pred.ndim != 3 or pred.shape != target.shape:
+        raise ShapeError(f"prediction {pred.shape} vs target {target.shape}: "
+                         "expected one B x T x d chunk")
     if task == "imputation":
         hidden = None if mask is None else np.asarray(mask) == 0
-        if hidden is None or not hidden.any(axis=(-2, -1)).all():
+        if hidden is None or not hidden.any(axis=(1, 2)).all():
             raise DegenerateTaskError("imputation needs at least one hidden entry")
         diff = np.where(hidden, pred - target, 0.0)
-        count = np.asarray(hidden.sum(axis=(-2, -1)))
+        count = hidden.sum(axis=(1, 2))
     else:
         diff = pred - target
-        count = np.asarray(diff.shape[-2] * diff.shape[-1])
-    loss = (diff * diff).sum(axis=(-2, -1)) / count
-    return loss[()], 2.0 * diff / count[..., None, None]
+        count = np.asarray(diff[0].size)
+    loss = (diff * diff).sum(axis=(1, 2)) / count
+    return loss, 2.0 * diff / count[..., None, None]
 
 
 # A batch runs in the fewest chunks of at most CHUNK_DOUBLES / s samples, of
 # near-equal size. s = m T^2 + 2 (h - m) T (k + 1) d_k sizes one sample's
-# largest attention temporaries, none of which the caches keep: per
-# correlated head, the T d_k^2 all-lags stack and the gather of V over the
-# k + 1 lags inside CAB's forward, and the gathers of V, K_hat, g and Q_hat,
-# one at a time, in its backward; and the T x T scores of the m temporal
-# heads, which exist one row block at a time (attention.BLOCK_DOUBLES), so
-# that term overstates them. The stack holds d_k / (k + 1) times the doubles
-# of the K_hat gather it replaced in the forward: as many at T = 512, d_k =
-# 8, and 4/3 as many at T = 96. The bound is unchanged, and so are the
-# chunks: at most 7 samples at T = 96, h = 2, m = 1 (a batch of 8 runs as two
-# chunks of 4), and one from h = 16 or T = 512 on. Bigger chunks cost more
-# than they save once a chunk's temporaries outgrow what the allocator keeps
-# between batches: it hands them back to the system after every batch and
-# page-faults them in again (a whole toy batch of 8, peaking at 5.5 MB, did).
+# largest attention temporaries, none of which the caches keep: per correlated
+# head, the T d_k^2 all-lags stack and the gather of V over the k + 1 lags
+# inside CAB's forward, and the gathers of V, K_hat, g and Q_hat, one at a
+# time, in its backward; and the T x T scores of the m temporal heads, which
+# exist one row block at a time (attention.BLOCK_DOUBLES), so that term
+# overstates them. Chunks hold at most 7 samples at T = 96, h = 2, m = 1 (a
+# batch of 8 runs as two chunks of 4), and one from h = 16 or T = 512 on.
+# Bigger chunks cost more than they save once a chunk's temporaries outgrow
+# what the allocator keeps between batches: it hands them back to the system
+# after every batch and page-faults them in again (a whole toy batch of 8,
+# peaking at 5.5 MB, did).
 CHUNK_DOUBLES = 2 ** 17
 
 
@@ -474,28 +471,30 @@ def chunk_size(cfg: RunConfig, t: int) -> int:
     return max(1, CHUNK_DOUBLES // per_sample)
 
 
+def _concat(records):
+    """(x, mask, label) records, each a chunk, joined into one chunk (None
+    where the task has no such entry)."""
+    return tuple(None if col[0] is None else np.concatenate(col) for col in zip(*records))
+
+
 def _chunks(samples, cfg: RunConfig):
-    """The samples, in order, as chunks of (x, target, mask, label) stacked
-    along a leading sample axis, a chunk of one like any other (None where
-    the task has no such entry)."""
+    """The sample records (chunks of one), in order, joined into chunks."""
     if not samples:
         return
     n = len(samples)
-    count = -(-n // chunk_size(cfg, samples[0][0].shape[0]))
+    count = -(-n // chunk_size(cfg, samples[0][0].shape[1]))
     # the fewest chunks the bound allows, of near-equal size
     for i in range(count):
-        chunk = samples[i * n // count:(i + 1) * n // count]
-        yield tuple(None if col[0] is None else np.stack(col) for col in zip(*chunk))
+        yield _concat(samples[i * n // count:(i + 1) * n // count])
 
 
 def _chunk_loss(chunk, params: dict, cfg: RunConfig):
-    """Forward and loss of one chunk: (per-sample losses, dpred, cache)."""
-    x, target, mask, label = chunk
+    """Forward and loss of one chunk: (per-sample losses, dpred, cache). A
+    reconstruction task's target is the chunk's input."""
+    x, mask, label = chunk
     pred, cache = model_forward(x, params, cfg, mask)
-    if cfg.task == "classification":
-        losses, dpred = task_loss(pred, label, cfg.task)
-    else:
-        losses, dpred = task_loss(pred, target, cfg.task, mask)
+    losses, dpred = task_loss(pred, label if cfg.task == "classification" else x,
+                              cfg.task, mask)
     return losses, dpred, cache
 
 
@@ -638,40 +637,34 @@ def evaluate_metrics(samples, params: dict, cfg: RunConfig,
                      val_samples=None, threshold_quantile: float = 0.99) -> dict:
     """Per-task test metrics: MSE+MAE, P/R/F1, or accuracy.
 
-    One loop scores the samples one at a time, each through its own input
-    array: a trace that follows samples (the benchmark's planted-lag recall)
-    finds a sample by that array. It keeps only the predictions, so no
-    sample's cache is alive during the next sample's forward; the task's
-    reduction runs on them afterwards.
+    One forward per stored record, a chunk of one: a trace that follows
+    samples (the benchmark's planted-lag recall) finds a sample by its
+    record's input array. Only the predictions are kept, so no sample's
+    cache is alive during the next sample's forward; each task reduces over
+    them, joined, afterwards.
     """
     def predict(sset):
-        return [(model_forward(x_in, params, cfg, mask)[0], target, mask, label)
-                for x_in, target, mask, label in sset]
+        """(predictions, x, mask, label) of the whole set."""
+        preds = [model_forward(x, params, cfg, mask)[0] for x, mask, _ in sset]
+        return (np.concatenate(preds), *_concat(sset))
 
-    scored = predict(samples)
+    pred, x, mask, label = predict(samples)
     if cfg.task == "classification":
-        correct = sum(int(np.argmax(pred) == int(label)) for pred, _, _, label in scored)
-        return {"accuracy": correct / max(len(scored), 1)}
+        return {"accuracy": float(np.mean(np.argmax(pred, axis=1) == label))}
     if cfg.task == "imputation":
-        se, ae, n = 0.0, 0.0, 0
-        for pred, target, mask, _ in scored:
-            diff = (pred - target)[~mask]
-            se += float((diff * diff).sum())
-            ae += float(np.abs(diff).sum())
-            n += diff.size
-        return {"mse": se / max(n, 1), "mae": ae / max(n, 1)}
+        diff = (pred - x)[~mask]
+        n = max(diff.size, 1)
+        return {"mse": float((diff * diff).sum()) / n, "mae": float(np.abs(diff).sum()) / n}
 
     # anomaly: per-time-step reconstruction error, quantile threshold
-    def step_errors(rows):
-        return np.concatenate([((pred - target) ** 2).mean(axis=1)
-                               for pred, target, _, _ in rows])
+    def step_errors(pred, x, *_):
+        return ((pred - x) ** 2).mean(axis=2).reshape(-1)
 
-    truth = np.concatenate([np.zeros(len(pred)) if label is None else label
-                            for pred, _, _, label in scored])
-    val_errs = step_errors(predict(val_samples)) if val_samples else None
-    dec = anomaly_decision(step_errors(scored), truth, threshold_quantile, val_errs)
-    return {"precision": dec["precision"], "recall": dec["recall"], "f1": dec["f1"],
-            "threshold": dec["threshold"], "degenerate": dec["degenerate"]}
+    truth = np.zeros(x.shape[:2]) if label is None else label
+    val_errs = step_errors(*predict(val_samples)) if val_samples else None
+    dec = anomaly_decision(step_errors(pred, x), truth.reshape(-1), threshold_quantile,
+                           val_errs)
+    return {key: val for key, val in dec.items() if key != "labels"}
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ from them are byte-identical to those of the per-feature reference
 generator in tests/test_synthdata.py.
 
 An imputation mask is a T x d bool array, True where the entry is
-observed. No masked copy of the values is made here: an imputation sample's
-model input is its own values (``to_training_sample``), and the model zeroes
-the hidden entries itself (``model.model_forward``). A loaded imputation
-entry is held in 9 bytes, its float64 value and its mask.
+observed. A sample's model record (``to_training_sample``) views its own
+arrays as a chunk of one and holds no copy: the model zeroes the hidden
+entries itself (``model.model_forward``), and a reconstruction target is
+its input. A loaded imputation entry is held in 9 bytes, its value and mask.
 
 Datasets are text files. ``read_dataset`` reads a file one block at a time:
 it walks the sample headers and parses each T x d value or mask block with
@@ -237,16 +237,16 @@ def split_dataset(samples: list) -> tuple:
 
 
 def to_training_sample(sample: SeriesSample, task: str):
-    """(input, target, mask, label) tuple as consumed by the model layer. The
-    input of an imputation sample is its own values: the model hides the
-    masked entries itself (model.model_forward), so no masked copy is held."""
+    """The (x, mask, label) record the model reads, each entry a chunk of one
+    (leading axis 1), None where the task has none: views of the values, the
+    mask or the anomaly flags, or a class label. ``x`` is also the
+    reconstruction target; the model masks it itself."""
     if task == "imputation":
         if sample.mask is None:
             raise DegenerateMaskError("imputation sample has no mask")
-        return (sample.values, sample.values, sample.mask, None)
-    if task == "anomaly":
-        return (sample.values, sample.values, None, sample.anomaly_flags)
-    return (sample.values, None, None, sample.label)
+        return (sample.values[None], sample.mask[None], None)
+    label = sample.anomaly_flags if task == "anomaly" else sample.label
+    return (sample.values[None], None, None if label is None else np.asarray(label)[None])
 
 
 class DegenerateMaskError(ValueError):

@@ -90,9 +90,8 @@ def test_c2_gradient_suite(report):
     rng = np.random.default_rng(2)
     batch = []
     for _ in range(2):
-        x = rng.normal(size=(8, 3))
-        mask = (rng.random((8, 3)) > 0.3).astype(int)
-        batch.append((x * mask, x, mask, None))
+        x = rng.normal(size=(1, 8, 3))
+        batch.append((x, rng.random((1, 8, 3)) > 0.3, None))
     assert M.chunk_size(cfg, 8) >= len(batch)
 
     def f(ps):
@@ -253,7 +252,7 @@ def block0_attention(cfg):
     """Block 0's MixtureWeights and the forward cache of its correlated head
     stack, as model_forward builds them."""
     params = M.init_params(cfg, seed=0)
-    _, cache = M.model_forward(rand((8, cfg.d_in), 28), params, cfg)
+    _, cache = M.model_forward(rand((1, 8, cfg.d_in), 28), params, cfg)
     attn = cache.blocks[0].attn
     return attn.mix, attn.cab_cache
 

@@ -3,7 +3,7 @@ import math
 import os
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -407,6 +407,26 @@ class TestNegativeSeed:
         assert not (tmp_path / "neg.train").exists()
 
 
+class TestHeap:
+    """main keeps freed heap for reuse where the C library has mallopt."""
+
+    def test_sets_glibc_thresholds(self, toy_dataset, monkeypatch, capsys):
+        calls = []
+
+        class Lib:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Lib())
+        assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST]) == 0
+        assert calls == [(-1, 256 << 20), (-3, 32 << 20)]   # trim, mmap thresholds
+
+    def test_runs_without_mallopt(self, toy_dataset, monkeypatch, capsys):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST]) == 0
+
+
 class TestAblationPresets:
     def _cfg(self, preset):
         cfg = cli.RunConfig(ablation=preset)
@@ -416,7 +436,7 @@ class TestAblationPresets:
         """Params, block 0's CAB options and its correlated heads' decoded
         (lam, beta), as model_forward uses them."""
         params = M.init_params(cfg, seed=0)
-        x = np.random.default_rng(0).normal(size=(8, cfg.d_in))
+        x = np.random.default_rng(0).normal(size=(1, 8, cfg.d_in))
         attn = M.model_forward(x, params, cfg)[1].blocks[0].attn
         return params, attn.mix.cab, list(zip(attn.cab_cache.lam, attn.cab_cache.beta))
 
@@ -547,6 +567,23 @@ class TestRunConfig:
             config = ["--config", str(tmp_path / "run.cfg")]
         assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST,
                         *config, *flags]) == code
+
+    def test_every_model_flag_lands_in_the_config(self, toy_dataset, tmp_path, capsys):
+        flags = ["--d-model", "6", "--d-k", "3", "--h", "3", "--m", "2", "--blocks", "2",
+                 "--c", "2", "--model", "nonstationary", "--lag-path", "naive",
+                 "--ablation", "static", "--lr", "0.002", "--batch", "5", "--epochs", "1",
+                 "--patience", "4", "--seed", "7"]
+        want = dict(d_model=6, d_k=3, h=3, m=2, n_blocks=2, c=2, temporal="destat",
+                    lag_path="naive", ablation="static", lr=0.002, batch_size=5, epochs=1,
+                    patience=4, seed=7)
+        # the flags above set every config field that train parses
+        parsed = vars(cli.build_parser().parse_args(["train", "--data", "x"]))
+        assert set(parsed) & set(asdict(cli.RunConfig())) == set(want)
+        ckpt = tmp_path / "all.ckpt"
+        assert run_cli(["train", "--data", str(toy_dataset), *flags,
+                        "--checkpoint", str(ckpt)]) == 0
+        cfg = cli.config_from_dict(cli.read_config(f"{ckpt}.config"))
+        assert {key: getattr(cfg, key) for key in want} == want
 
     def test_numerical_abort_names_epoch_and_batch(self, toy_dataset, capsys):
         assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST,

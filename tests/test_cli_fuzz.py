@@ -81,7 +81,7 @@ def command(draw, name, slots):
     return words
 
 
-GEN_DATA = command("gen-data", [
+GEN_DATA_SLOTS = [
     req("--task", ["imputation", "anomaly", "classification"], ["bogus"]),
     req("--t", [8, 12, 16], [1, "x"]),
     ([["--d", "1"], ["--d", "2"], ["--d", "2", "--lags", "0:1:3"],
@@ -97,7 +97,8 @@ GEN_DATA = command("gen-data", [
     opt("--anomaly-count", [0, 2], [-1, 50]),
     opt("--anomaly-magnitude", [0, 10, -3], ["nan", "inf", 1e300]),
     req("--out", ["{gen-out}"], ["{missing}/gen"]),
-])
+]
+GEN_DATA = command("gen-data", GEN_DATA_SLOTS)
 
 MODEL_SLOTS = [
     req("--data", ["{imputation}", "{classification}", "{anomaly}"],
@@ -124,16 +125,17 @@ MODEL_SLOTS = [
     req("--epochs", [1], [0]),
 ]
 
-TRAIN = command("train", MODEL_SLOTS + [
+TRAIN_SLOTS = MODEL_SLOTS + [
     opt("--ablation", ["baseline", "pure", "static", "lambda"], ["beta"]),
     opt("--checkpoint", ["{ckpt-out}"], ["{dir}", "{missing}/model.ckpt"]),
     opt("--metrics", ["{metrics}"], ["{dir}"]),
-])
+]
+TRAIN = command("train", TRAIN_SLOTS)
 
 ABLATE = command("ablate", MODEL_SLOTS)
 
 TASKS = ("imputation", "classification", "anomaly")
-EVAL = command("eval", [(
+EVAL_SLOTS = [(
     [["--data", f"{{{task}}}", "--checkpoint", f"{{{task}.ckpt}}"] for task in TASKS],
     # another task's checkpoint, a damaged one, and paths that are no file
     [["--data", f"{{{data}}}", "--checkpoint", f"{{{ckpt}.ckpt}}"]
@@ -141,7 +143,8 @@ EVAL = command("eval", [(
     + [["--data", "{imputation}", "--checkpoint", v]
        for v in ("{corrupt.ckpt}", "{missing}", "{dir}")]
     + [["--data", v, "--checkpoint", "{imputation.ckpt}"] for v in ("{missing}", "{dir}")],
-)])
+)]
+EVAL = command("eval", EVAL_SLOTS)
 
 
 def _reject(constant):
@@ -215,4 +218,22 @@ def test_eval(files, argv):
           "--noise", "1e308", "--out", "{gen-out}"])
 @settings(max_examples=25, **SETTINGS)
 def test_gen_data(files, argv):
+    _check(files, argv)
+
+
+def one_bad_slot():
+    """One argv per (subcommand, slot, bad value): that slot holds the bad
+    value, every other slot its first valid one. The draws above reach only
+    some bad values; these reach each."""
+    for name, slots in (("gen-data", GEN_DATA_SLOTS), ("train", TRAIN_SLOTS),
+                        ("ablate", MODEL_SLOTS), ("eval", EVAL_SLOTS)):
+        for i, (_, wrong) in enumerate(slots):
+            for bad in wrong:
+                argv = [name] + [word for j, (valid, _) in enumerate(slots)
+                                 for word in (bad if j == i else valid[0])]
+                yield pytest.param(argv, id=" ".join(argv))
+
+
+@pytest.mark.parametrize("argv", one_bad_slot())
+def test_one_bad_slot(files, argv):
     _check(files, argv)

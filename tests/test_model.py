@@ -33,10 +33,10 @@ def toy_config(**kw):
 
 
 def toy_sample(t=8, d=3, seed=3, mask_p=0.3):
+    """An imputation record: (x, mask, label), each a chunk of one."""
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(t, d))
-    mask = (rng.random((t, d)) > mask_p).astype(int)
-    return (x * mask, x, mask, None)
+    x = rng.normal(size=(1, t, d))
+    return (x, rng.random((1, t, d)) > mask_p, None)
 
 
 class TestStationarize:
@@ -69,8 +69,8 @@ class TestStationarize:
         for task, kw in (("classification", dict(n_classes=3)), ("imputation", {})):
             cfg = toy_config(task=task, temporal="self", **kw)
             params = M.init_params(cfg, seed=0)
-            small = M.model_forward(x, params, cfg)[0]
-            big = M.model_forward(x * 1e200, params, cfg)[0]
+            small = M.model_forward(x[None], params, cfg)[0]
+            big = M.model_forward(x[None] * 1e200, params, cfg)[0]
             want = small if task == "classification" else small * 1e200
             assert np.abs(big - want).max() <= 1e-12 * np.abs(want).max(), task
         # a normal sample keeps its bits beside a huge one in its chunk
@@ -82,8 +82,9 @@ class TestStationarize:
 
 
 def encoder_output(x, params, cfg):
-    """The representation model_forward feeds to the task head."""
-    return M.model_forward(x, params, cfg)[1].hrep
+    """The representation model_forward feeds to the task head, of one T x d
+    sample run as a chunk of one."""
+    return M.model_forward(x[None], params, cfg)[1].hrep
 
 
 class TestEncoderForward:
@@ -115,7 +116,7 @@ class TestEncoderForward:
         params = M.init_params(cfg, seed=0)
         rng = np.random.default_rng(5)
         x, mask = rng.normal(size=(3, 8, 3)), rng.random((3, 8, 3)) > 0.3
-        for values, hide in ((x[0], mask[0]), (x, mask)):
+        for values, hide in ((x[:1], mask[:1]), (x, mask)):
             pred, cache = M.model_forward(values, params, cfg, hide)
             want, want_cache = M.model_forward(values * hide, params, cfg)
             assert np.array_equal(pred, want)
@@ -124,14 +125,26 @@ class TestEncoderForward:
     def test_wrong_mask_shape(self):
         cfg = toy_config()
         with pytest.raises(M.ShapeError):
-            M.model_forward(rand((8, 3), 9), M.init_params(cfg), cfg,
-                            np.ones((8, 2), dtype=bool))
+            M.model_forward(rand((1, 8, 3), 9), M.init_params(cfg), cfg,
+                            np.ones((1, 8, 2), dtype=bool))
 
     def test_wrong_feature_count(self):
         cfg = toy_config()
         params = M.init_params(cfg, seed=0)
-        with pytest.raises(Exception):
-            M.model_forward(rand((8, 5), 9), params, cfg)
+        with pytest.raises(M.ShapeError):
+            M.model_forward(rand((1, 8, 5), 9), params, cfg)
+
+    def test_bare_sample_is_refused(self):
+        # one input form: a sample is a chunk of one, never a bare T x d array
+        cfg = toy_config()
+        params = M.init_params(cfg, seed=0)
+        x = rand((8, 3), 9)
+        with pytest.raises(M.ShapeError, match="expected B x T x 3"):
+            M.model_forward(x, params, cfg)
+        with pytest.raises(M.ShapeError):
+            M.model_forward(x, params, cfg, np.ones((8, 3), dtype=bool))
+        pred = M.model_forward(x[None], params, cfg)[0]
+        assert pred.shape == (1, 8, 3)
 
 
 class TestHeadStacks:
@@ -150,7 +163,7 @@ class TestHeadStacks:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(A, name, counted)
         temporal_fn = "self_attention" if temporal == "self" else "destationary_attention"
-        M.model_forward(rand((24, 8), 30), params, cfg)
+        M.model_forward(rand((1, 24, 8), 30), params, cfg)
         assert calls == {"correlated_attention_fwd": 2, f"{temporal_fn}_fwd": 2}
         calls.clear()
         M.batch_loss_and_grad([toy_sample(t=24, d=8)], params, cfg)
@@ -293,33 +306,43 @@ def loop_backward(dpred, cache, params, grads, cfg):
             grads[f"destat.delta.{name}"] += g
 
 
+def oracle_input(record):
+    """The T x d sample a record's chunk of one holds, its hidden entries
+    zeroed."""
+    x, mask, _ = record
+    return x[0] if mask is None else x[0] * mask[0]
+
+
 def loop_loss_and_grad(batch, params, cfg):
-    """Mean loss and mean gradient over the batch, one sample at a time."""
+    """Mean loss and mean gradient over the batch, one sample at a time; each
+    sample's loss is scored as the chunk of one it is stored as."""
     grads = {name: np.zeros_like(p.value) for name, p in params.items()}
     total = 0.0
-    for x, target, mask, label in batch:
-        pred, cache = loop_forward(x, params, cfg)
-        loss, dpred = (M.task_loss(pred, label, cfg.task) if cfg.task == "classification"
-                       else M.task_loss(pred, target, cfg.task, mask))
-        loop_backward(dpred, cache, params, grads, cfg)
-        total += loss
+    for record in batch:
+        x, mask, label = record
+        pred, cache = loop_forward(oracle_input(record), params, cfg)
+        loss, dpred = M.task_loss(pred[None], label if cfg.task == "classification" else x,
+                                  cfg.task, mask)
+        loop_backward(dpred[0], cache, params, grads, cfg)
+        total += loss[0]
     return total / len(batch), {name: g / len(batch) for name, g in grads.items()}
 
 
 def chunk_batch(task, n=3, t=12, d=3, seed=40):
+    """n records of the task as to_training_sample makes them: (x, mask,
+    label), each a chunk of one; a reconstruction target is the input."""
     rng = np.random.default_rng(seed)
     batch = []
     for i in range(n):
-        x = rng.normal(size=(t, d)) * (1.0 + i) + i     # unlike scales and means
+        x = rng.normal(size=(1, t, d)) * (1.0 + i) + i  # unlike scales and means
         if task == "imputation":
-            mask = (rng.random((t, d)) > 0.3).astype(int)
-            mask[i, 0] = 0                               # every sample hides one
-            batch.append((x * mask, x, mask, None))
+            mask = rng.random((1, t, d)) > 0.3
+            mask[0, i, 0] = False                        # every sample hides one
+            batch.append((x, mask, None))
         elif task == "anomaly":
-            batch.append((x, x + 0.1 * rng.normal(size=(t, d)), None,
-                          (rng.random(t) > 0.8).astype(int)))
+            batch.append((x, None, rng.random((1, t)) > 0.8))
         else:
-            batch.append((x, None, None, i % 3))
+            batch.append((x, None, np.array([i % 3])))
     return batch
 
 
@@ -353,9 +376,10 @@ class TestChunks:
         params = M.init_params(cfg, seed=11)
         batch = chunk_batch(cfg.task)
         assert M.chunk_size(cfg, 12) >= len(batch)      # one chunk
-        preds, _ = M.model_forward(np.stack([s[0] for s in batch]), params, cfg)
-        for pred, sample in zip(preds, batch):
-            assert_close(pred, loop_forward(sample[0], params, cfg)[0])
+        x, mask, _ = M._concat(batch)
+        preds, _ = M.model_forward(x, params, cfg, mask)
+        for pred, record in zip(preds, batch):
+            assert_close(pred, loop_forward(oracle_input(record), params, cfg)[0])
         loss = M.batch_loss_and_grad(batch, params, cfg)
         want_loss, want_grads = loop_loss_and_grad(batch, params, cfg)
         assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
@@ -372,7 +396,7 @@ class TestChunks:
         monkeypatch.setattr(M, "chunk_size", lambda cfg, t: 3)
         sizes = [len(chunk[0]) for chunk in M._chunks(batch, cfg)]
         assert sizes == [2, 3, 3]
-        # a chunk of one is stacked like any other
+        # a chunk of one is joined like any other
         monkeypatch.setattr(M, "chunk_size", lambda cfg, t: 1)
         assert [chunk[0].shape for chunk in M._chunks(batch, cfg)] == [(1, 12, 3)] * 8
         monkeypatch.undo()
@@ -398,7 +422,7 @@ class TestChunks:
         cfg = toy_config(h=4, m=2)
         params = M.init_params(cfg, seed=13)
         params["block0.tau_raw"].value[1] = -1e9        # head m + 1 = 3
-        x = np.stack([s[0] for s in chunk_batch("imputation")])
+        x = np.concatenate([s[0] for s in chunk_batch("imputation")])
         with pytest.raises(M.ParameterError, match=r"^block0\.head3\.tau_raw: "):
             M.model_forward(x, params, cfg)
 
@@ -460,30 +484,42 @@ class TestParamRegistry:
 
 class TestTaskLoss:
     def test_perfect_reconstruction(self):
-        x = rand((6, 2), 10)
-        loss, _ = task = M.task_loss(x, x, "anomaly")
-        assert loss == 0.0
+        x = rand((1, 6, 2), 10)
+        loss, _ = M.task_loss(x, x, "anomaly")
+        assert loss.shape == (1,) and loss[0] == 0.0
 
     def test_all_hidden_mask_is_plain_mse(self):
-        pred, target = rand((5, 3), 11), rand((5, 3), 12)
-        li, _ = M.task_loss(pred, target, "imputation", np.zeros((5, 3)))
+        pred, target = rand((1, 5, 3), 11), rand((1, 5, 3), 12)
+        li, _ = M.task_loss(pred, target, "imputation", np.zeros((1, 5, 3)))
         la, _ = M.task_loss(pred, target, "anomaly")
-        assert abs(li - la) < 1e-15
+        assert abs(li[0] - la[0]) < 1e-15
 
     def test_uniform_logits_cross_entropy(self):
-        loss, _ = M.task_loss(np.zeros((1, 4)), 2, "classification")
-        assert abs(loss - math.log(4)) < 1e-12
+        loss, _ = M.task_loss(np.zeros((1, 4)), np.array([2]), "classification")
+        assert loss.shape == (1,) and abs(loss[0] - math.log(4)) < 1e-12
 
     def test_empty_mask_degenerate(self):
         with pytest.raises(M.DegenerateTaskError):
-            M.task_loss(rand((4, 2)), rand((4, 2)), "imputation", np.ones((4, 2)))
+            M.task_loss(rand((1, 4, 2)), rand((1, 4, 2)), "imputation",
+                        np.ones((1, 4, 2)))
+
+    def test_bare_sample_is_refused(self):
+        # one input form: a chunk, the sample axis first
+        pred = rand((4, 2), 15)
+        for task in ("imputation", "anomaly"):
+            with pytest.raises(M.ShapeError, match="B x T x d chunk"):
+                M.task_loss(pred, pred, task, np.zeros((4, 2)))
+        for logits, label in ((np.zeros(4), 2), (np.zeros(4), np.array([2])),
+                              (np.zeros((1, 4)), 2)):
+            with pytest.raises(M.ShapeError):
+                M.task_loss(logits, label, "classification")
 
     def test_gradient_direction(self):
-        pred, target = rand((4, 2), 13), rand((4, 2), 14)
+        pred, target = rand((1, 4, 2), 13), rand((1, 4, 2), 14)
         loss, dpred = M.task_loss(pred, target, "anomaly")
         step = 1e-7
         loss2, _ = M.task_loss(pred - step * dpred, target, "anomaly")
-        assert loss2 < loss
+        assert loss2[0] < loss[0]
 
 
 class TestGradients:
@@ -502,8 +538,7 @@ class TestGradients:
     def test_classification_gradients(self):
         cfg = toy_config(task="classification", n_classes=3)
         params = M.init_params(cfg, seed=2)
-        x = rand((8, 3), 15)
-        sample = (x, None, None, 1)
+        sample = (rand((1, 8, 3), 15), None, np.array([1]))
 
         def f(ps):
             zero_grads(ps)
@@ -559,7 +594,7 @@ class TestMemory:
         cfg = M.RunConfig(task="classification", d_in=6, d_model=16, d_k=8, h=4, m=1,
                           temporal="destat")
         params = M.init_params(cfg, seed=0)
-        return cfg, params, (rand((self.T, 6), 70), None, None, 1)
+        return cfg, params, (rand((self.T, 6), 70)[None], None, np.array([1]))
 
     def test_cache_holds_no_square_or_gather(self):
         cfg, params, sample = self._setup()
@@ -589,7 +624,8 @@ class TestMemory:
         # evaluate_metrics keeps only each prediction: no sample's cache is
         # alive while the next sample runs (1.59 times one forward when it was)
         cfg, params, _ = self._setup()
-        samples = [(rand((self.T, 6), 80 + i), None, None, i % 2) for i in range(4)]
+        samples = [(rand((self.T, 6), 80 + i)[None], None, np.array([i % 2]))
+                   for i in range(4)]
         peaks = []
         for run in (lambda: M.model_forward(samples[0][0], params, cfg),
                     lambda: M.evaluate_metrics(samples, params, cfg)):

@@ -348,15 +348,30 @@ class TestTrainingSamples:
                                                         seed=22))[0], 0.5, seed=0)
 
     def test_imputation_input_is_the_values(self):
-        # no masked copy is held: the model masks its input itself
+        # no copy is held: the record views the sample's values and mask as
+        # chunks of one, and the model masks its input itself
         s = self._sample()
-        x_in, target, mask, label = to_training_sample(s, "imputation")
-        assert x_in is s.values and target is s.values and mask is s.mask
+        x, mask, label = to_training_sample(s, "imputation")
+        assert x.shape == mask.shape == (1, 8, 2) and label is None
+        assert np.shares_memory(x, s.values) and np.shares_memory(mask, s.mask)
+        assert np.array_equal(x[0], s.values) and np.array_equal(mask[0], s.mask)
+
+    def test_label_records(self):
+        spec = DatasetSpec(task="classification", t=8, d=2, n_samples=1, seed=22)
+        s = gen_lagged_series(spec)[0]
+        x, mask, label = to_training_sample(s, "classification")
+        assert x.shape == (1, 8, 2) and np.shares_memory(x, s.values) and mask is None
+        assert label.shape == (1,) and label[0] == s.label
+        s = inject_anomalies(s, 2, 10.0, seed=0)
+        x, mask, flags = to_training_sample(s, "anomaly")
+        assert x.shape == (1, 8, 2) and mask is None and flags.shape == (1, 8)
+        assert np.shares_memory(flags, s.anomaly_flags)
 
     def test_imputation_input_zeroed(self):
         # the input the model caches, and runs on, hides the masked entries
-        x_in, target, mask, label = to_training_sample(self._sample(), "imputation")
+        s = self._sample()
+        x_in, mask, _ = to_training_sample(s, "imputation")
         cfg = M.RunConfig(task="imputation", d_in=2, d_model=4, d_k=2, h=2, m=1)
         x = M.model_forward(x_in, M.init_params(cfg), cfg, mask)[1].x[0]
-        assert np.array_equal(x[mask == 0], np.zeros((mask == 0).sum()))
-        assert np.array_equal(x[mask == 1], target[mask == 1])
+        assert np.array_equal(x[~s.mask], np.zeros((~s.mask).sum()))
+        assert np.array_equal(x[s.mask], s.values[s.mask])
