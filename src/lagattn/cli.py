@@ -295,11 +295,8 @@ def setup(cfg: RunConfig, data: Data) -> dict:
 
 def score_test_split(cfg: RunConfig, params: dict, data: Data) -> dict:
     """Reported test metrics; anomaly thresholds come from the val split."""
-    metrics = M.evaluate_metrics(data.test, params, cfg, val_samples=(
+    return M.evaluate_metrics(data.test, params, cfg, val_samples=(
         data.val if data.task == "anomaly" else None))
-    metrics.pop("degenerate", None)
-    metrics.pop("threshold", None)
-    return metrics
 
 
 def cmd_train(args) -> int:

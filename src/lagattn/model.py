@@ -10,7 +10,9 @@ input form; a batch joins them into chunks of at most ``chunk_size``
 samples and averages the per-sample losses and gradients.
 All learnable tensors live in a flat registry (name -> Param) so the
 optimizer, the checkpoint and a finite-difference check can treat the whole
-model uniformly.
+model uniformly. A block's ReLU feed-forward and the tanh de-stationary
+projectors share one two-layer MLP kernel; it and the layernorm read the
+entries under the registry prefix they are given and add their gradients.
 """
 
 from __future__ import annotations
@@ -169,8 +171,17 @@ def init_params(cfg: RunConfig, seed: int = 0) -> dict:
     (and ``beta_raw``, ``lambda_raw`` when learnable)."""
     rng = np.random.default_rng(seed)
 
+    def add(name, value):
+        params[name] = Param(name, value)
+
     def mat(name, rows, cols):
-        params[name] = Param(name, rng.normal(0.0, 1.0 / math.sqrt(rows), (rows, cols)))
+        add(name, rng.normal(0.0, 1.0 / math.sqrt(rows), (rows, cols)))
+
+    def mlp(prefix, rows, hidden, cols):
+        mat(f"{prefix}.w1", rows, hidden)
+        add(f"{prefix}.b1", np.zeros(hidden))
+        mat(f"{prefix}.w2", hidden, cols)
+        add(f"{prefix}.b2", np.zeros(cols))
 
     params: dict = {}
     n_corr = cfg.h - cfg.m
@@ -180,31 +191,20 @@ def init_params(cfg: RunConfig, seed: int = 0) -> dict:
         # 1, ..., one d_model x d_k matrix at a time
         w_qkv = rng.normal(0.0, 1.0 / math.sqrt(cfg.d_model),
                            (cfg.h, 3, cfg.d_model, cfg.d_k)).transpose(2, 1, 0, 3)
-        params[f"block{b}.w_qkv"] = Param(f"block{b}.w_qkv", np.ascontiguousarray(w_qkv))
+        add(f"block{b}.w_qkv", np.ascontiguousarray(w_qkv))
         for suffix, (raw, learnable) in _cab_scalars(cfg).items():
             if learnable and n_corr:
-                name = f"block{b}.{suffix}"
-                params[name] = Param(name, np.full(n_corr, raw))
+                add(f"block{b}.{suffix}", np.full(n_corr, raw))
         mat(f"block{b}.w_o", cfg.h * cfg.d_k, cfg.d_model)
         for ln in ("ln1", "ln2"):
-            params[f"block{b}.{ln}.gain"] = Param(f"block{b}.{ln}.gain", np.ones(cfg.d_model))
-            params[f"block{b}.{ln}.bias"] = Param(f"block{b}.{ln}.bias", np.zeros(cfg.d_model))
-        mat(f"block{b}.ff.w1", cfg.d_model, cfg.d_ff)
-        params[f"block{b}.ff.b1"] = Param(f"block{b}.ff.b1", np.zeros(cfg.d_ff))
-        mat(f"block{b}.ff.w2", cfg.d_ff, cfg.d_model)
-        params[f"block{b}.ff.b2"] = Param(f"block{b}.ff.b2", np.zeros(cfg.d_model))
+            add(f"block{b}.{ln}.gain", np.ones(cfg.d_model))
+            add(f"block{b}.{ln}.bias", np.zeros(cfg.d_model))
+        mlp(f"block{b}.ff", cfg.d_model, cfg.d_ff, cfg.d_model)
     if cfg.temporal == "destat" and cfg.m > 0:
-        hidden = 2 * cfg.d_model
-        mat("destat.xi.w1", 2 * cfg.d_in, hidden)
-        params["destat.xi.b1"] = Param("destat.xi.b1", np.zeros(hidden))
-        mat("destat.xi.w2", hidden, 1)
-        params["destat.xi.b2"] = Param("destat.xi.b2", np.zeros(1))
-        mat("destat.delta.w1", cfg.d_in, hidden)
-        params["destat.delta.b1"] = Param("destat.delta.b1", np.zeros(hidden))
-        mat("destat.delta.w2", hidden, 1)
-        params["destat.delta.b2"] = Param("destat.delta.b2", np.zeros(1))
+        mlp("destat.xi", 2 * cfg.d_in, 2 * cfg.d_model, 1)
+        mlp("destat.delta", cfg.d_in, 2 * cfg.d_model, 1)
     mat("head.w", cfg.d_model, cfg.d_out)
-    params["head.b"] = Param("head.b", np.zeros(cfg.d_out))
+    add("head.b", np.zeros(cfg.d_out))
     return params
 
 
@@ -212,41 +212,50 @@ def init_params(cfg: RunConfig, seed: int = 0) -> dict:
 # small layers
 
 
-def _layernorm_fwd(x, gain, bias):
-    """Normalizes each row (last axis) of a matrix of rows."""
+def _layernorm_fwd(x, params: dict, prefix: str):
+    """Normalizes each row (last axis) of a matrix of rows, then scales and
+    shifts it by ``prefix.gain`` and ``prefix.bias``: (output, cache)."""
     xc = x - x.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS)
     y = xc * inv
-    return y * gain + bias, (y, inv, gain)
+    return y * params[f"{prefix}.gain"].value + params[f"{prefix}.bias"].value, (y, inv)
 
 
-def _layernorm_bwd(cache, g):
-    y, inv, gain = cache
-    dgain = (g * y).sum(axis=0)
-    dbias = g.sum(axis=0)
-    dy = g * gain
-    dx = inv * (dy - dy.mean(axis=-1, keepdims=True)
-                - y * (dy * y).mean(axis=-1, keepdims=True))
-    return dx, dgain, dbias
+def _layernorm_bwd(cache, g, params: dict, prefix: str):
+    """Adds the gain and bias gradients into the registry; returns dx."""
+    y, inv = cache
+    gain, bias = params[f"{prefix}.gain"], params[f"{prefix}.bias"]
+    gain.grad += (g * y).sum(axis=0)
+    bias.grad += g.sum(axis=0)
+    dy = g * gain.value
+    return inv * (dy - dy.mean(axis=-1, keepdims=True)
+                  - y * (dy * y).mean(axis=-1, keepdims=True))
 
 
-def _mlp2_fwd(x, w1, b1, w2, b2):
-    """Two-layer map with tanh hidden activation (used by the projectors)."""
-    z = x @ w1 + b1
-    a = np.tanh(z)
-    return a @ w2 + b2, (x, a, w1, w2)
+def _mlp_fwd(x, params: dict, prefix: str, relu: bool):
+    """Two-layer map of the rows of ``x`` by ``prefix.{w1,b1,w2,b2}``, with a
+    ReLU (the feed-forward block) or tanh (the de-stationary projectors)
+    hidden layer: (output, hidden activation)."""
+    a = x @ params[f"{prefix}.w1"].value + params[f"{prefix}.b1"].value
+    if relu:
+        np.maximum(a, 0.0, out=a)
+    else:
+        np.tanh(a, out=a)
+    return a @ params[f"{prefix}.w2"].value + params[f"{prefix}.b2"].value, a
 
 
-def _mlp2_bwd(cache, g):
-    x, a, w1, w2 = cache
-    dw2 = a.T @ g
-    db2 = g.sum(axis=0)
-    da = g @ w2.T
-    dz = da * (1.0 - a * a)
-    dw1 = x.T @ dz
-    db1 = dz.sum(axis=0)
-    dx = dz @ w1.T
-    return dx, dw1, db1, dw2, db2
+def _mlp_bwd(x, a, g, params: dict, prefix: str, relu: bool):
+    """Adds the four ``prefix`` gradients into the registry, given the input
+    ``x``, the hidden activation ``a`` and the output gradient ``g``; returns
+    dx."""
+    w1, b1, w2, b2 = (params[f"{prefix}.{n}"] for n in ("w1", "b1", "w2", "b2"))
+    w2.grad += a.T @ g
+    b2.grad += g.sum(axis=0)
+    da = g @ w2.value.T
+    dz = da * (a > 0.0) if relu else da * (1.0 - a * a)
+    w1.grad += x.T @ dz
+    b1.grad += dz.sum(axis=0)
+    return dz @ w1.value.T
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +263,10 @@ def _mlp2_bwd(cache, g):
 
 # What model_backward needs: the B x T x d input, masked, and its
 # stationarization, the (B T) x d_model encoder output, per block the mixture
-# cache (attention.MixCache), the layernorm caches and the feed-forward
-# activations, and the de-stationary projector caches (None without destat
-# heads).
+# cache (attention.MixCache), the layernorm caches, the feed-forward input r1
+# and hidden activation a1, and for the de-stationary projectors (None without
+# destat heads) the xi input (mu and sigma per sample), xi before its
+# softplus, and the xi and delta hidden activations; the delta input is x.
 ModelCache = namedtuple("ModelCache", "x xp stats hrep blocks destat")
 BlockCache = namedtuple("BlockCache", "attn ln1 r1 a1 ln2")
 
@@ -283,21 +293,15 @@ def model_forward(x, params: dict, cfg: RunConfig, mask=None):
     xp, stats = stationarize(x)
 
     xi = delta = None
-    destat_caches = None
+    destat_cache = None
     if cfg.temporal == "destat" and cfg.m > 0:
         stats_vec = np.concatenate([stats.mu, stats.sigma], axis=1)
-        xi_pre, xi_cache = _mlp2_fwd(stats_vec, params["destat.xi.w1"].value,
-                                     params["destat.xi.b1"].value,
-                                     params["destat.xi.w2"].value,
-                                     params["destat.xi.b2"].value)
+        xi_pre, a_xi = _mlp_fwd(stats_vec, params, "destat.xi", relu=False)
         xi = softplus(xi_pre[:, 0])
-        delta_out, delta_cache = _mlp2_fwd(x.reshape(n * t, -1),
-                                           params["destat.delta.w1"].value,
-                                           params["destat.delta.b1"].value,
-                                           params["destat.delta.w2"].value,
-                                           params["destat.delta.b2"].value)
+        delta_out, a_delta = _mlp_fwd(x.reshape(n * t, -1), params, "destat.delta",
+                                      relu=False)
         delta = delta_out.reshape(n, t)
-        destat_caches = (xi_pre[:, 0], xi_cache, delta_cache)
+        destat_cache = (stats_vec, xi_pre[:, 0], a_xi, a_delta)
 
     # every dense layer acts on the rows of all samples at once
     hrep = xp.reshape(n * t, -1) @ params["embed.w"].value
@@ -321,15 +325,10 @@ def model_forward(x, params: dict, cfg: RunConfig, mask=None):
             name = ("destat.xi" if exc.head is None
                     else f"block{b}.head{cfg.m + exc.head}.{exc.name}")
             raise ParameterError(f"{name}: {exc}") from exc
-        r1, ln1_cache = _layernorm_fwd(hrep + attn_out.reshape(n * t, -1),
-                                       params[f"block{b}.ln1.gain"].value,
-                                       params[f"block{b}.ln1.bias"].value)
-        a1 = r1 @ params[f"block{b}.ff.w1"].value + params[f"block{b}.ff.b1"].value
-        np.maximum(a1, 0.0, out=a1)         # relu, in place
-        ff_out = a1 @ params[f"block{b}.ff.w2"].value + params[f"block{b}.ff.b2"].value
-        r2, ln2_cache = _layernorm_fwd(r1 + ff_out,
-                                       params[f"block{b}.ln2.gain"].value,
-                                       params[f"block{b}.ln2.bias"].value)
+        r1, ln1_cache = _layernorm_fwd(hrep + attn_out.reshape(n * t, -1), params,
+                                       f"block{b}.ln1")
+        ff_out, a1 = _mlp_fwd(r1, params, f"block{b}.ff", relu=True)
+        r2, ln2_cache = _layernorm_fwd(r1 + ff_out, params, f"block{b}.ln2")
         block_caches.append(BlockCache(attn_cache, ln1_cache, r1, a1, ln2_cache))
         hrep = r2
 
@@ -339,7 +338,7 @@ def model_forward(x, params: dict, cfg: RunConfig, mask=None):
     else:
         recon_p = hrep @ params["head.w"].value + params["head.b"].value
         pred = destationarize(recon_p.reshape(n, t, -1), stats)
-    cache = ModelCache(x, xp, stats, hrep, block_caches, destat_caches)
+    cache = ModelCache(x, xp, stats, hrep, block_caches, destat_cache)
     return pred, cache
 
 
@@ -347,7 +346,7 @@ def model_backward(dpred, cache, params: dict, cfg: RunConfig):
     """Accumulate d(loss)/d(param) into Param.grad for every registry entry,
     summed over the samples of the chunk; ``dpred`` has the shape of the
     chunk's prediction (B x T x d, or B x n_classes)."""
-    x, xp, stats, hrep, block_caches, destat_caches = cache
+    x, xp, stats, hrep, block_caches, destat_cache = cache
     n, t, _ = x.shape
 
     if cfg.task == "classification":
@@ -363,21 +362,9 @@ def model_backward(dpred, cache, params: dict, cfg: RunConfig):
     dxi_total, ddelta_total = np.zeros(n), np.zeros((n, t))
     for b in reversed(range(cfg.n_blocks)):
         attn_cache, ln1_cache, r1, a1, ln2_cache = block_caches[b]
-        dr2_in, dg2, db2 = _layernorm_bwd(ln2_cache, dh)
-        params[f"block{b}.ln2.gain"].grad += dg2
-        params[f"block{b}.ln2.bias"].grad += db2
-        # feed-forward branch
-        dff = dr2_in
-        params[f"block{b}.ff.w2"].grad += a1.T @ dff
-        params[f"block{b}.ff.b2"].grad += dff.sum(axis=0)
-        da1 = dff @ params[f"block{b}.ff.w2"].value.T
-        dz1 = da1 * (a1 > 0.0)
-        params[f"block{b}.ff.w1"].grad += r1.T @ dz1
-        params[f"block{b}.ff.b1"].grad += dz1.sum(axis=0)
-        dr1 = dr2_in + dz1 @ params[f"block{b}.ff.w1"].value.T
-        dr1_in, dg1, db1 = _layernorm_bwd(ln1_cache, dr1)
-        params[f"block{b}.ln1.gain"].grad += dg1
-        params[f"block{b}.ln1.bias"].grad += db1
+        dr2_in = _layernorm_bwd(ln2_cache, dh, params, f"block{b}.ln2")
+        dr1 = dr2_in + _mlp_bwd(r1, a1, dr2_in, params, f"block{b}.ff", relu=True)
+        dr1_in = _layernorm_bwd(ln1_cache, dr1, params, f"block{b}.ln1")
         dx_attn, dw_qkv, draw, dw_o, dxi, ddelta = mixture_of_head_bwd(
             attn_cache, dr1_in.reshape(n, t, -1))
         params[f"block{b}.w_qkv"].grad += dw_qkv
@@ -392,19 +379,12 @@ def model_backward(dpred, cache, params: dict, cfg: RunConfig):
 
     params["embed.w"].grad += xp.reshape(n * t, -1).T @ dh
 
-    if destat_caches is not None:
-        xi_pre, xi_cache, delta_cache = destat_caches
+    if destat_cache is not None:
+        stats_vec, xi_pre, a_xi, a_delta = destat_cache
         dxi_pre = dxi_total * sigmoid(xi_pre)
-        _, dw1, db1, dw2, db2 = _mlp2_bwd(xi_cache, dxi_pre[:, None])
-        params["destat.xi.w1"].grad += dw1
-        params["destat.xi.b1"].grad += db1
-        params["destat.xi.w2"].grad += dw2
-        params["destat.xi.b2"].grad += db2
-        _, dw1, db1, dw2, db2 = _mlp2_bwd(delta_cache, ddelta_total.reshape(-1, 1))
-        params["destat.delta.w1"].grad += dw1
-        params["destat.delta.b1"].grad += db1
-        params["destat.delta.w2"].grad += dw2
-        params["destat.delta.b2"].grad += db2
+        _mlp_bwd(stats_vec, a_xi, dxi_pre[:, None], params, "destat.xi", relu=False)
+        _mlp_bwd(x.reshape(n * t, -1), a_delta, ddelta_total.reshape(-1, 1), params,
+                 "destat.delta", relu=False)
 
 
 # ---------------------------------------------------------------------------
@@ -607,21 +587,23 @@ def evaluate_loss(samples, params: dict, cfg: RunConfig) -> float:
 # metrics
 
 
-def anomaly_decision(scores, truth, threshold_quantile: float, val_scores=None):
-    """Quantile-threshold anomaly labeling with precision/recall/F1.
+# anomaly detection flags a step whose score exceeds this quantile of the
+# validation scores
+THRESHOLD_QUANTILE = 0.99
 
-    Threshold is the given quantile of ``val_scores`` (falling back to the
-    test scores themselves). With nothing flagged and nothing true, P, R and
-    F1 are all defined as 1.0. All-equal scores are reported as degenerate.
+
+def anomaly_decision(scores, truth, threshold_quantile: float, val_scores) -> dict:
+    """Quantile-threshold anomaly labeling: precision, recall and F1.
+
+    A score is flagged when it exceeds the given quantile of ``val_scores``.
+    With nothing flagged and nothing true, P, R and F1 are all 1.0.
     """
     scores = np.asarray(scores, dtype=np.float64)
     truth = np.asarray(truth).astype(bool)
     if not 0.0 < threshold_quantile < 1.0:
         raise ParameterError("threshold_quantile must lie in (0, 1)")
-    ref = np.asarray(val_scores, dtype=np.float64) if val_scores is not None else scores
-    degenerate = bool(np.all(ref == ref[0]))
-    threshold = float(np.quantile(ref, threshold_quantile))
-    labels = scores > threshold
+    labels = scores > np.quantile(np.asarray(val_scores, dtype=np.float64),
+                                  threshold_quantile)
     tp = int(np.sum(labels & truth))
     fp = int(np.sum(labels & ~truth))
     fn = int(np.sum(~labels & truth))
@@ -629,13 +611,12 @@ def anomaly_decision(scores, truth, threshold_quantile: float, val_scores=None):
     recall = tp / (tp + fn) if (tp + fn) > 0 else 1.0
     f1 = (2 * precision * recall / (precision + recall)
           if (precision + recall) > 0 else 0.0)
-    return {"labels": labels, "threshold": threshold, "precision": precision,
-            "recall": recall, "f1": f1, "degenerate": degenerate}
+    return {"precision": precision, "recall": recall, "f1": f1}
 
 
-def evaluate_metrics(samples, params: dict, cfg: RunConfig,
-                     val_samples=None, threshold_quantile: float = 0.99) -> dict:
-    """Per-task test metrics: MSE+MAE, P/R/F1, or accuracy.
+def evaluate_metrics(samples, params: dict, cfg: RunConfig, val_samples=None) -> dict:
+    """Per-task test metrics: MSE+MAE, P/R/F1, or accuracy. Anomaly
+    detection takes its threshold from ``val_samples``.
 
     One forward per stored record, a chunk of one: a trace that follows
     samples (the benchmark's planted-lag recall) finds a sample by its
@@ -661,10 +642,8 @@ def evaluate_metrics(samples, params: dict, cfg: RunConfig,
         return ((pred - x) ** 2).mean(axis=2).reshape(-1)
 
     truth = np.zeros(x.shape[:2]) if label is None else label
-    val_errs = step_errors(*predict(val_samples)) if val_samples else None
-    dec = anomaly_decision(step_errors(pred, x), truth.reshape(-1), threshold_quantile,
-                           val_errs)
-    return {key: val for key, val in dec.items() if key != "labels"}
+    return anomaly_decision(step_errors(pred, x), truth.reshape(-1), THRESHOLD_QUANTILE,
+                            step_errors(*predict(val_samples)))
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +686,8 @@ def save_checkpoint(path, params: dict) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    """Returns name -> ndarray; raises CheckpointError on malformed input."""
+    """Returns name -> ndarray; raises CheckpointError on malformed input,
+    an entry named twice included."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_TAG:
@@ -722,6 +702,8 @@ def load_checkpoint(path) -> dict:
         if len(header) < 2:
             raise CheckpointError(f"{path}: malformed header at line {i + 1}")
         name = header[0]
+        if name in out:
+            raise CheckpointError(f"{path}: duplicate entry {name} at line {i + 1}")
         try:
             ndim = int(header[1])
             shape = tuple(int(s) for s in header[2:2 + ndim])
@@ -751,10 +733,17 @@ def load_checkpoint(path) -> dict:
 
 
 def load_into(params: dict, path) -> None:
+    """Loads every registry entry from the checkpoint at ``path``; raises
+    CheckpointError on an entry missing, of the wrong shape, or that the
+    model has no slot for."""
     values = load_checkpoint(path)
     for name, p, at in _checkpoint_slots(params):
         if name not in values:
             raise CheckpointError(f"{path}: missing parameter {name}")
-        if values[name].shape != np.shape(p.value[at]):
+        value = values.pop(name)
+        if value.shape != np.shape(p.value[at]):
             raise CheckpointError(f"{path}: shape mismatch for {name}")
-        p.value[at] = values[name]
+        p.value[at] = value
+    if values:
+        raise CheckpointError(f"{path}: entry {next(iter(values))} is not a "
+                              "parameter of this model")

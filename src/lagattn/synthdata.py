@@ -332,7 +332,8 @@ def _fault(block, width: int, what: str, binary: bool):
 
 def read_dataset(path) -> tuple:
     """Returns (samples, task). Raises DatasetParseError with the offending
-    line number on malformed input."""
+    line number on malformed input, a line after the last declared sample
+    included."""
 
     def fail(lineno, msg):
         raise DatasetParseError(f"{path}:{lineno + 1}: {msg}")
@@ -439,4 +440,6 @@ def read_dataset(path) -> tuple:
                     fail(here, "anomaly flag outside {0, 1}")
             samples.append(SeriesSample(values=values, mask=mask, label=label,
                                         anomaly_flags=flags, planted_lags=planted))
+        if take(1):
+            fail(ln - 1, f"line after the last of the {n} samples the header declares")
     return samples, task

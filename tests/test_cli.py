@@ -4,6 +4,7 @@ import os
 import re
 import warnings
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +158,31 @@ class TestTrainEval:
                         "--checkpoint", str(ckpt)]) == cli.EXIT_FILE
         assert "missing parameter block0.head1.w_v" in capsys.readouterr().err
 
+    def test_eval_duplicate_entry_exit(self, toy_dataset, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST,
+                        "--checkpoint", str(ckpt)]) == 0
+        text = ckpt.read_text()
+        ckpt.write_text(text + "head.b 1 3\n0.0,0.0,0.0\n")
+        line = len(text.splitlines()) + 1
+        assert run_cli(["eval", "--data", str(toy_dataset),
+                        "--checkpoint", str(ckpt)]) == cli.EXIT_FILE
+        assert f"duplicate entry head.b at line {line}" in capsys.readouterr().err
+
+    def test_eval_unused_entry_exit(self, toy_dataset, tmp_path, capsys):
+        # trained at h = 2, m = 1; at m = 2 head 1 is temporal, without the
+        # beta and tau the checkpoint holds for it (named in file order)
+        ckpt = tmp_path / "model.ckpt"
+        assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST,
+                        "--checkpoint", str(ckpt)]) == 0
+        config = tmp_path / "model.ckpt.config"
+        config.write_text(config.read_text().replace("m = 1\n", "m = 2\n"))
+        assert cli.read_config(config)["m"] == "2"
+        assert run_cli(["eval", "--data", str(toy_dataset),
+                        "--checkpoint", str(ckpt)]) == cli.EXIT_FILE
+        assert ("entry block0.head1.beta_raw is not a parameter of this model"
+                in capsys.readouterr().err)
+
     def test_eval_reads_only_the_test_split(self, toy_dataset, tmp_path, capsys):
         ckpt = tmp_path / "model.ckpt"
         assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST,
@@ -273,6 +299,19 @@ def _some_flags(prefix):
     _replace_sample(f"{prefix}.train", 1, anomaly_flags=np.zeros(24, dtype=np.int64))
 
 
+def _trailing_line(prefix):
+    # a line after the test split's last sample (its file has 102 lines)
+    with open(f"{prefix}.test", "a") as fh:
+        fh.write("junk\n")
+
+
+def _short_header(prefix):
+    # a train header that declares 5 of its 6 samples
+    path = f"{prefix}.train"
+    text = open(path).read()
+    open(path, "w").write(text.replace(" samples 6\n", " samples 5\n", 1))
+
+
 def _nan_value(prefix):
     path = f"{prefix}.test"
     lines = open(path).read().splitlines()
@@ -358,8 +397,11 @@ class TestTooLittleData:
         (_full_test_masks, r"toy\.test: no sample hides an entry"),
         (_no_label, r"toy\.val: sample 1 has no label"),
         (_some_flags, r"toy\.train: samples 0 and 1 disagree on anomaly flags"),
+        (_trailing_line, r"toy\.test:103: line after the last of the 2 samples"),
+        (_short_header, r"toy\.train:253: line after the last of the 5 samples"),
     ], ids=["empty-val", "t1", "nan", "d-mismatch", "no-mask", "full-mask",
-            "full-test-masks", "no-label", "some-flags"])
+            "full-test-masks", "no-label", "some-flags", "trailing-line",
+            "short-header"])
     def test_train_rejects(self, toy_dataset, capsys, damage, match):
         damage(toy_dataset)
         assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST]) \
@@ -584,6 +626,17 @@ class TestRunConfig:
                         "--checkpoint", str(ckpt)]) == 0
         cfg = cli.config_from_dict(cli.read_config(f"{ckpt}.config"))
         assert {key: getattr(cfg, key) for key in want} == want
+
+    def test_readme_table_names_every_field(self):
+        # the first column of README's "Run config" table, and its key count
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Run config\n", 1)[1].split("\n### ", 1)[0]
+        table = section.split("| --- |", 1)[1].split("\n\n", 1)[0]
+        keys = [key for row in table.splitlines()[1:]
+                for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+        fields = list(asdict(cli.RunConfig()))
+        assert sorted(keys) == sorted(fields)
+        assert f"These are the {len(fields)} keys." in section
 
     def test_numerical_abort_names_epoch_and_batch(self, toy_dataset, capsys):
         assert run_cli(["train", "--data", str(toy_dataset), *TRAIN_FAST,

@@ -146,6 +146,8 @@ def oracle_read_dataset(path) -> tuple:
             ln += 1
         samples.append(SeriesSample(values=values, mask=mask, label=label,
                                     anomaly_flags=flags, planted_lags=planted))
+    if ln < len(lines):
+        fail(ln, f"line after the last of the {n} samples the header declares")
     return samples, task
 
 
@@ -164,6 +166,8 @@ def oracle_load_checkpoint(path) -> dict:
         if len(header) < 2:
             raise M.CheckpointError(f"{path}: malformed header at line {i + 1}")
         name = header[0]
+        if name in out:
+            raise M.CheckpointError(f"{path}: duplicate entry {name} at line {i + 1}")
         try:
             ndim = int(header[1])
             shape = tuple(int(s) for s in header[2:2 + ndim])

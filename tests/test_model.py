@@ -9,7 +9,7 @@ import pytest
 from lagattn import attention as A
 from lagattn import cli
 from lagattn import model as M
-from lagattn.numerics import sigmoid, softplus, zero_grads
+from lagattn.numerics import Param, sigmoid, softplus, zero_grads
 from lagattn.synthdata import (
     DatasetSpec,
     apply_mask,
@@ -232,26 +232,22 @@ def loop_forward(x, params, cfg):
     xi, delta, destat = 1.0, np.zeros(t), None
     if cfg.temporal == "destat" and cfg.m > 0:
         stats_vec = np.concatenate([stats.mu, stats.sigma])[None, :]
-        xi_pre, xi_cache = M._mlp2_fwd(stats_vec, *(params[f"destat.xi.{n}"].value
-                                                     for n in ("w1", "b1", "w2", "b2")))
+        xi_pre, a_xi = M._mlp_fwd(stats_vec, params, "destat.xi", relu=False)
         xi = float(softplus(xi_pre[0, 0]))
-        delta_out, delta_cache = M._mlp2_fwd(x, *(params[f"destat.delta.{n}"].value
-                                                  for n in ("w1", "b1", "w2", "b2")))
+        delta_out, a_delta = M._mlp_fwd(x, params, "destat.delta", relu=False)
         delta = delta_out[:, 0]
-        destat = (xi_pre[0, 0], xi_cache, delta_cache)
+        destat = (stats_vec, xi_pre[0, 0], a_xi, x, a_delta)
     hrep = xp @ params["embed.w"].value
     cab = A.CabOptions(c=cfg.c, use_fft=cfg.lag_path == "fft",
                        filtering=cfg.filtering_enabled, soft=cfg.lambda_mode == "learnable")
     blocks = []
     for b in range(cfg.n_blocks):
         attn_out, attn_cache = loop_attention_fwd(hrep, params, cfg, b, xi, delta, cab)
-        r1, ln1 = M._layernorm_fwd(hrep + attn_out, params[f"block{b}.ln1.gain"].value,
-                                   params[f"block{b}.ln1.bias"].value)
+        r1, ln1 = M._layernorm_fwd(hrep + attn_out, params, f"block{b}.ln1")
         z1 = r1 @ params[f"block{b}.ff.w1"].value + params[f"block{b}.ff.b1"].value
         a1 = np.maximum(z1, 0.0)
         ff_out = a1 @ params[f"block{b}.ff.w2"].value + params[f"block{b}.ff.b2"].value
-        hrep, ln2 = M._layernorm_fwd(r1 + ff_out, params[f"block{b}.ln2.gain"].value,
-                                     params[f"block{b}.ln2.bias"].value)
+        hrep, ln2 = M._layernorm_fwd(r1 + ff_out, params, f"block{b}.ln2")
         blocks.append((attn_cache, ln1, r1, z1, a1, ln2))
     if cfg.task == "classification":
         pred = hrep.mean(axis=0) @ params["head.w"].value + params["head.b"].value
@@ -264,6 +260,9 @@ def loop_forward(x, params, cfg):
 def loop_backward(dpred, cache, params, grads, cfg):
     """Adds one sample's parameter gradients into ``grads`` (name -> array)."""
     xp, stats, hrep, blocks, destat, t = cache
+    # the model's kernels add into the registry: theirs holds ``params``'
+    # values and the oracle's own grad arrays
+    reg = {name: Param(name, p.value, grads[name]) for name, p in params.items()}
 
     def val(name):
         return params[name].value
@@ -280,30 +279,24 @@ def loop_backward(dpred, cache, params, grads, cfg):
     dxi, ddelta = 0.0, np.zeros(t)
     for b in reversed(range(cfg.n_blocks)):
         attn_cache, ln1, r1, z1, a1, ln2 = blocks[b]
-        dr2, dg, db = M._layernorm_bwd(ln2, dh)
-        grads[f"block{b}.ln2.gain"] += dg
-        grads[f"block{b}.ln2.bias"] += db
+        dr2 = M._layernorm_bwd(ln2, dh, reg, f"block{b}.ln2")
         grads[f"block{b}.ff.w2"] += a1.T @ dr2
         grads[f"block{b}.ff.b2"] += dr2.sum(axis=0)
         dz1 = (dr2 @ val(f"block{b}.ff.w2").T) * (z1 > 0.0)
         grads[f"block{b}.ff.w1"] += r1.T @ dz1
         grads[f"block{b}.ff.b1"] += dz1.sum(axis=0)
-        dr1, dg, db = M._layernorm_bwd(ln1, dr2 + dz1 @ val(f"block{b}.ff.w1").T)
-        grads[f"block{b}.ln1.gain"] += dg
-        grads[f"block{b}.ln1.bias"] += db
+        dr1 = M._layernorm_bwd(ln1, dr2 + dz1 @ val(f"block{b}.ff.w1").T, reg,
+                               f"block{b}.ln1")
         dx, dxi_b, ddelta_b = loop_attention_bwd(dr1, attn_cache, params, grads, cfg, b)
         dxi += dxi_b
         ddelta += ddelta_b
         dh = dr1 + dx
     grads["embed.w"] += xp.T @ dh
     if destat is not None:
-        xi_pre, xi_cache, delta_cache = destat
-        _, *gs = M._mlp2_bwd(xi_cache, np.array([[dxi * float(sigmoid(xi_pre))]]))
-        for name, g in zip(("w1", "b1", "w2", "b2"), gs):
-            grads[f"destat.xi.{name}"] += g
-        _, *gs = M._mlp2_bwd(delta_cache, ddelta[:, None])
-        for name, g in zip(("w1", "b1", "w2", "b2"), gs):
-            grads[f"destat.delta.{name}"] += g
+        stats_vec, xi_pre, a_xi, x, a_delta = destat
+        M._mlp_bwd(stats_vec, a_xi, np.array([[dxi * float(sigmoid(xi_pre))]]), reg,
+                   "destat.xi", relu=False)
+        M._mlp_bwd(x, a_delta, ddelta[:, None], reg, "destat.delta", relu=False)
 
 
 def oracle_input(record):
@@ -732,19 +725,20 @@ class TestTraining:
 
 class TestAnomalyDecision:
     def test_single_spike(self):
-        out = M.anomaly_decision([0.0, 0.0, 0.0, 10.0], [0, 0, 0, 1], 0.9)
+        scores = [0.0, 0.0, 0.0, 10.0]
+        out = M.anomaly_decision(scores, [0, 0, 0, 1], 0.9, val_scores=scores)
         assert out["precision"] == out["recall"] == out["f1"] == 1.0
 
     def test_nothing_flagged_nothing_true(self):
-        out = M.anomaly_decision([1.0, 1.0, 1.0], [0, 0, 0], 0.5)
+        scores = [1.0, 1.0, 1.0]
+        out = M.anomaly_decision(scores, [0, 0, 0], 0.5, val_scores=scores)
         assert out["precision"] == out["recall"] == out["f1"] == 1.0
-        assert out["degenerate"]
 
     def test_matches_direct_counting(self):
         rng = np.random.default_rng(16)
         scores = rng.random(200)
         truth = rng.random(200) > 0.8
-        out = M.anomaly_decision(scores, truth, 0.9)
+        out = M.anomaly_decision(scores, truth, 0.9, val_scores=scores)
         labels = scores > np.quantile(scores, 0.9)
         tp = np.sum(labels & truth)
         p = tp / labels.sum()
@@ -754,12 +748,14 @@ class TestAnomalyDecision:
         assert abs(out["f1"] - 2 * p * r / (p + r)) < 1e-15
 
     def test_validation_threshold(self):
-        out = M.anomaly_decision([0.1, 5.0], [0, 1], 0.99, val_scores=np.ones(50))
-        assert out["labels"].tolist() == [False, True]
+        # the threshold comes from the val scores (1.0): the test scores' own
+        # 0.99 quantile (4.94) would leave the step scored 2.0 unflagged
+        out = M.anomaly_decision([0.1, 2.0, 5.0], [0, 1, 1], 0.99, val_scores=np.ones(50))
+        assert out == {"precision": 1.0, "recall": 1.0, "f1": 1.0}
 
     def test_bad_quantile(self):
         with pytest.raises(Exception):
-            M.anomaly_decision([1.0], [0], 1.5)
+            M.anomaly_decision([1.0], [0], 1.5, val_scores=[1.0])
 
 
 class TestCheckpoint:
